@@ -11,6 +11,7 @@
 #include "market/market_stream.h"
 #include "util/json.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace bundlemine {
@@ -43,8 +44,7 @@ Status ValidateShard(int shard_index, int shard_count) {
 
 std::string DatasetCacheKey(const DatasetSpec& spec) { return DatasetKey(spec); }
 
-Engine::Engine(const Options& options)
-    : options_(options), pool_(std::make_unique<ThreadPool>(options.threads)) {}
+Engine::Engine(const Options& options) : options_(options) {}
 
 Engine::~Engine() = default;
 
@@ -231,13 +231,12 @@ std::vector<StatusOr<SolveResponse>> Engine::SolveBatch(
   // inner path so the result depends only on the request, not on which
   // worker ran it (mirroring the sweep runner's per-cell contract). Callers
   // wanting parallel candidate evaluation inside one big solve use Solve.
-  // ParallelFor holds a single job slot, so bulk calls take the pool lock.
-  MutexLock lock(pool_mu_);
-  pool_->ParallelFor(requests.size(), [&](std::size_t index, int /*slot*/) {
-    SolveRequest request = requests[index];
-    request.options.threads = 1;
-    responses[index] = Solve(request);
-  });
+  ThreadPool::Shared().ParallelFor(
+      requests.size(), options_.threads, [&](std::size_t index, int /*slot*/) {
+        SolveRequest request = requests[index];
+        request.options.threads = 1;
+        responses[index] = Solve(request);
+      });
   return responses;
 }
 
@@ -283,20 +282,8 @@ StatusOr<SweepResponse> Engine::Sweep(const SweepRequest& request) {
                                     double lambda) {
     return WtpFor(cell_dataset, cell_data, lambda);
   };
-  // Reuse the Engine's pool when the request runs at the Engine's width —
-  // serialized on pool_mu_, since ParallelFor holds a single job slot.
-  // Otherwise spin up a request-local pool (results are identical either
-  // way — width only affects wall time).
-  if (runner_options.threads == options_.threads) {
-    MutexLock lock(pool_mu_);
-    response.result =
-        RunSweepCells(request.spec, cells, *dataset, runner_options,
-                      pool_.get(), provider, wtp_provider);
-  } else {
-    response.result =
-        RunSweepCells(request.spec, cells, *dataset, runner_options, nullptr,
-                      provider, wtp_provider);
-  }
+  response.result = RunSweepCells(request.spec, cells, *dataset,
+                                  runner_options, provider, wtp_provider);
   response.result.wall_seconds = timer.Seconds();
   return response;
 }
@@ -411,16 +398,8 @@ StatusOr<ResolveResponse> Engine::Resolve(const ResolveRequest& request) {
     return WtpForKey(market_key + ";lambda=" + FormatDoubleShortest(lambda),
                      data, lambda);
   };
-  if (runner_options.threads == options_.threads) {
-    MutexLock lock(pool_mu_);
-    response.result = RunSweepCells(request.spec, cells, *snap.dataset,
-                                    runner_options, pool_.get(), nullptr,
-                                    wtp_provider);
-  } else {
-    response.result = RunSweepCells(request.spec, cells, *snap.dataset,
-                                    runner_options, nullptr, nullptr,
-                                    wtp_provider);
-  }
+  response.result = RunSweepCells(request.spec, cells, *snap.dataset,
+                                  runner_options, nullptr, wtp_provider);
   response.result.wall_seconds = timer.Seconds();
   for (const SweepCellResult& cell : response.result.cells) {
     response.pairs_evaluated += cell.stats.pairs_evaluated;

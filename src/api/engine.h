@@ -13,9 +13,9 @@
 //     repeated sweeps/solves over the same (profile, seed, overrides)
 //     materialize the generated ratings dataset once. A second, λ-keyed
 //     cache holds the WTP matrices derived from those datasets, so
-//     repeated requests at the same (dataset, λ) skip FromRatings too. It
-//     also owns the ThreadPool that sweep cells and batch requests fan
-//     out over.
+//     repeated requests at the same (dataset, λ) skip FromRatings too.
+//     Sweep cells and batch requests fan out over the process-wide
+//     ThreadPool, which concurrent requests share without queueing.
 //   * Determinism. Solve/Sweep responses are bit-identical at any thread
 //     count, SolveBatch equals per-request Solve calls, and a sharded sweep
 //     (`--shard=i/n` filtering by stable cell index) solves each of its
@@ -51,7 +51,6 @@
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace bundlemine {
 
@@ -156,17 +155,17 @@ struct ResolveResponse {
   std::int64_t pairs_reused = 0;
 };
 
-/// The facade. Thread-safe: concurrent Solve calls only contend on the
-/// dataset cache mutex; concurrent Sweep/SolveBatch calls additionally
-/// serialize on the shared worker pool (ThreadPool::ParallelFor is a
-/// single-job primitive), so overlapping bulk requests queue rather than
-/// race. One Engine per process (or per tenant) is the intended shape —
-/// that is what makes the cache pay off.
+/// The facade. Thread-safe: concurrent Solve/SolveBatch/Sweep/Resolve calls
+/// contend only on the cache mutexes. Each call runs its parallel work as
+/// its own job on the process-wide ThreadPool — the caller works on it and
+/// idle workers join up to the request's width — so overlapping requests
+/// share the cores instead of queueing. One Engine per process (or per
+/// tenant) is the intended shape — that is what makes the cache pay off.
 class Engine {
  public:
   struct Options {
-    /// Default worker-thread count for requests that leave options.threads
-    /// at 0, and the width of the pool SolveBatch fans out over.
+    /// Default width on the shared ThreadPool for requests that leave
+    /// options.threads at 0, and the width SolveBatch fans out at.
     int threads = 1;
     /// Generated datasets kept alive in the cache (LRU eviction). 0
     /// disables caching.
@@ -195,11 +194,11 @@ class Engine {
   /// non-positive lambda.
   StatusOr<SolveResponse> Solve(const SolveRequest& request);
 
-  /// Evaluates many requests across the Engine's pool. The response vector
-  /// is parallel to `requests`, each entry exactly what Solve would have
-  /// returned — per-request errors do not fail the batch, and results are
-  /// deterministic regardless of scheduling (each request solves with its
-  /// own seed-derived context).
+  /// Evaluates many requests across the shared pool at the Engine's width.
+  /// The response vector is parallel to `requests`, each entry exactly what
+  /// Solve would have returned — per-request errors do not fail the batch,
+  /// and results are deterministic regardless of scheduling (each request
+  /// solves with its own seed-derived context).
   std::vector<StatusOr<SolveResponse>> SolveBatch(
       const std::vector<SolveRequest>& requests);
 
@@ -298,10 +297,6 @@ class Engine {
   }
 
   Options options_;
-  /// Serializes Sweep/SolveBatch use of `pool_`: ParallelFor keeps one job
-  /// slot, so concurrent bulk calls must take turns on the shared pool.
-  Mutex pool_mu_;
-  std::unique_ptr<ThreadPool> pool_ GUARDED_BY(pool_mu_);
 
   mutable Mutex cache_mu_;
   /// Front = most recently used.

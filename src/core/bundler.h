@@ -13,7 +13,7 @@ namespace bundlemine {
 
 /// A bundle-configuration algorithm. Implementations are stateless across
 /// calls; all instance data lives in the problem, and all per-solve runtime
-/// state (scratch buffers, rng, thread pool, deadline) lives in the
+/// state (scratch buffers, rng, parallel width, deadline) lives in the
 /// SolveContext.
 class Bundler {
  public:

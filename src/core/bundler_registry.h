@@ -88,7 +88,7 @@ class BundlerRegistry {
 ///   "greedy-wsp-avg"    – greedy set packing, w/|b| ratio (small N)
 BundleSolution SolveMethod(const std::string& key, BundleConfigProblem problem);
 
-/// Same, with an explicit runtime context (thread pool, deadline, stats).
+/// Same, with an explicit runtime context (parallel width, deadline, stats).
 BundleSolution SolveMethod(const std::string& key, BundleConfigProblem problem,
                            SolveContext& context);
 

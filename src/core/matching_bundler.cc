@@ -1,6 +1,7 @@
 #include "core/matching_bundler.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "core/offer_ops.h"
@@ -328,8 +329,8 @@ BundleSolution MatchingBundler::Solve(const BundleConfigProblem& problem,
             (*dirty)[static_cast<std::size_t>(b)]) {
           continue;
         }
-        const MatchingPairCache::Outcome* out = prior->Find(a, b);
-        if (out == nullptr) continue;
+        const std::optional<MatchingPairCache::Outcome> out = prior->Find(a, b);
+        if (!out) continue;
         reused[idx] = 1;
         ++reused_count;
         has_gain[idx] = out->has_gain ? 1 : 0;
@@ -349,11 +350,7 @@ BundleSolution MatchingBundler::Solve(const BundleConfigProblem& problem,
                           ? 1
                           : 0;
     };
-    if (context.pool() != nullptr) {
-      context.pool()->ParallelFor(pairs.size(), evaluate);
-    } else {
-      for (std::size_t idx = 0; idx < pairs.size(); ++idx) evaluate(idx, 0);
-    }
+    context.ParallelFor(pairs.size(), evaluate);
     context.stats().pairs_evaluated +=
         static_cast<std::int64_t>(pairs.size()) - reused_count;
     context.stats().pairs_reused += reused_count;

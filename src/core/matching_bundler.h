@@ -21,9 +21,9 @@
 namespace bundlemine {
 
 /// Algorithm 1. Stateless; all knobs come from the problem. Candidate-edge
-/// evaluation is distributed across the context's thread pool (when present);
-/// results are gathered in candidate order, so a parallel solve is
-/// bit-identical to a serial one.
+/// evaluation runs on the shared thread pool at the context's width; results
+/// are gathered in candidate order, so a parallel solve is bit-identical to a
+/// serial one.
 class MatchingBundler : public Bundler {
  public:
   MatchingBundler() = default;

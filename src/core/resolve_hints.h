@@ -11,9 +11,13 @@
 #ifndef BUNDLEMINE_CORE_RESOLVE_HINTS_H_
 #define BUNDLEMINE_CORE_RESOLVE_HINTS_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
 #include <vector>
+
+#include "util/check.h"
 
 namespace bundlemine {
 
@@ -24,6 +28,11 @@ class TransactionDb;  // mining/transactions.h
 /// key survives across solves). EvaluatePair is a pure function of the two
 /// items' WTP columns plus cell-fixed configuration, so a cached outcome is
 /// exact whenever neither item was touched by a delta.
+///
+/// Stored as two flat columns sorted by key: the priced pairs with their
+/// edge, and the bare keys of pairs without a merge gain (the majority).
+/// Round 1 generates pairs in ascending (a, b) order, so recording appends
+/// and lookup is a binary search.
 class MatchingPairCache {
  public:
   /// One evaluated pair: either "no merge gain" or the full priced edge.
@@ -35,27 +44,54 @@ class MatchingPairCache {
     double buyers = 0.0;
   };
 
-  void Clear() { map_.clear(); }
-  bool empty() const { return map_.empty(); }
-  std::size_t size() const { return map_.size(); }
+  std::size_t size() const { return gains_.size() + no_gain_.size(); }
 
-  void Record(int a, int b, const Outcome& outcome) { map_[Key(a, b)] = outcome; }
+  /// Appends the pair's outcome. Pairs must arrive in strictly ascending
+  /// (a, b) order.
+  void Record(int a, int b, const Outcome& outcome) {
+    const std::uint64_t key = Key(a, b);
+    BM_CHECK(size() == 0 || key > last_key_);
+    last_key_ = key;
+    if (outcome.has_gain) {
+      gains_.push_back(GainRow{key, outcome.gain, outcome.price,
+                               outcome.revenue, outcome.buyers});
+    } else {
+      no_gain_.push_back(key);
+    }
+  }
 
-  /// Cached outcome for the pair, or nullptr when not recorded.
-  const Outcome* Find(int a, int b) const {
-    auto it = map_.find(Key(a, b));
-    return it == map_.end() ? nullptr : &it->second;
+  /// Cached outcome for the pair, or nullopt when not recorded.
+  std::optional<Outcome> Find(int a, int b) const {
+    const std::uint64_t key = Key(a, b);
+    auto row = std::lower_bound(
+        gains_.begin(), gains_.end(), key,
+        [](const GainRow& r, std::uint64_t k) { return r.key < k; });
+    if (row != gains_.end() && row->key == key) {
+      return Outcome{true, row->gain, row->price, row->revenue, row->buyers};
+    }
+    if (std::binary_search(no_gain_.begin(), no_gain_.end(), key)) {
+      return Outcome{};
+    }
+    return std::nullopt;
   }
 
  private:
+  struct GainRow {
+    std::uint64_t key;
+    double gain;
+    double price;
+    double revenue;
+    double buyers;
+  };
+
   static std::uint64_t Key(int a, int b) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
            static_cast<std::uint64_t>(static_cast<std::uint32_t>(b));
   }
 
-  // Lookup/insert only — never iterated, so the unordered layout cannot
-  // leak into results.
-  std::unordered_map<std::uint64_t, Outcome> map_;
+  std::vector<GainRow> gains_;
+  std::vector<std::uint64_t> no_gain_;
+  std::uint64_t last_key_ = 0;
 };
 
 /// Borrowed hint set for one cell's solve. All pointers are optional and

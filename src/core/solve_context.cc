@@ -4,10 +4,7 @@ namespace bundlemine {
 
 SolveContext::SolveContext(const Options& options)
     : options_(options), rng_(options.seed) {
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  }
-  int slots = pool_ ? pool_->num_slots() : 1;
+  const int slots = options_.num_threads > 1 ? options_.num_threads : 1;
   workspaces_.reserve(static_cast<std::size_t>(slots));
   for (int i = 0; i < slots; ++i) {
     workspaces_.push_back(std::make_unique<PricingWorkspace>());

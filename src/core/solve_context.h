@@ -1,12 +1,13 @@
 // Per-solve runtime state shared by every bundling algorithm.
 //
 // A SolveContext bundles the resources a solver needs beyond the problem
-// statement itself: a pool of PricingWorkspaces (one per worker thread, so
+// statement itself: a pool of PricingWorkspaces (one per worker slot, so
 // the pricing hot path never allocates), a deterministic Rng, an optional
-// wall-clock deadline, a stats sink, and an optional thread pool for
-// parallel candidate evaluation. Algorithms receive the context through
-// Bundler::Solve; the single-argument Solve overload constructs a default
-// (serial, no-deadline) context, so casual callers never see this type.
+// wall-clock deadline, a stats sink, and a width at which parallel candidate
+// evaluation borrows the process-wide ThreadPool. Algorithms receive the
+// context through Bundler::Solve; the single-argument Solve overload
+// constructs a default (serial, no-deadline) context, so casual callers never
+// see this type.
 //
 // A context may be reused across sequential solves (workspace buffers stay
 // warm, the Rng stream continues) but must not be shared by concurrent
@@ -15,6 +16,7 @@
 #ifndef BUNDLEMINE_CORE_SOLVE_CONTEXT_H_
 #define BUNDLEMINE_CORE_SOLVE_CONTEXT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -49,8 +51,9 @@ struct SolveStats {
 class SolveContext {
  public:
   struct Options {
-    /// Worker threads for candidate evaluation; <= 1 solves serially with no
-    /// thread pool at all. Results are bit-identical either way.
+    /// Width of candidate evaluation on the shared ThreadPool: the calling
+    /// thread plus up to num_threads − 1 idle workers. <= 1 solves serially
+    /// on the calling thread. Results are bit-identical at any width.
     int num_threads = 1;
     /// Seed for the context Rng (sampled adoption, randomized baselines).
     std::uint64_t seed = 0x42ULL;
@@ -69,8 +72,13 @@ class SolveContext {
   SolveContext(const SolveContext&) = delete;
   SolveContext& operator=(const SolveContext&) = delete;
 
-  /// Thread pool, or nullptr when the context is serial.
-  ThreadPool* pool() { return pool_.get(); }
+  /// Runs fn(index, slot) for every index in [0, n) on the shared
+  /// ThreadPool at the context's width; `slot` < num_slots() indexes
+  /// workspace(). A serial context runs a plain loop with slot 0.
+  void ParallelFor(std::size_t n,
+                   const std::function<void(std::size_t index, int slot)>& fn) {
+    ThreadPool::Shared().ParallelFor(n, options_.num_threads, fn);
+  }
 
   /// Number of per-thread workspace slots (1 when serial).
   int num_slots() const { return static_cast<int>(workspaces_.size()); }
@@ -106,7 +114,6 @@ class SolveContext {
  private:
   Options options_;
   const ResolveHints* resolve_hints_ = nullptr;
-  std::unique_ptr<ThreadPool> pool_;  // Null when serial.
   std::vector<std::unique_ptr<PricingWorkspace>> workspaces_;
   Rng rng_;
   SolveStats stats_;

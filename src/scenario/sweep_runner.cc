@@ -350,7 +350,7 @@ void RecomputeComponentGains(SweepResult* result) {
 SweepResult RunSweepCells(const ScenarioSpec& spec,
                           const std::vector<SweepCell>& cells,
                           const RatingsDataset& dataset,
-                          const SweepRunnerOptions& options, ThreadPool* pool,
+                          const SweepRunnerOptions& options,
                           const DatasetProvider& provider,
                           const WtpProvider& wtp_provider) {
   WallTimer total_timer;
@@ -365,9 +365,9 @@ SweepResult RunSweepCells(const ScenarioSpec& spec,
   result.base_total_wtp = base.WtpFor(spec.dataset.lambda).TotalWtp();
   result.cells.resize(cells.size());
 
-  // A grid narrower than the pool leaves workers idle; hand the surplus to
+  // A grid narrower than the width leaves slots unused; hand the surplus to
   // the cells' inner solvers instead. Integer division keeps the total
-  // thread count at or under `threads`.
+  // width at or under `threads`.
   int inner_threads = 1;
   if (!cells.empty() && options.threads > static_cast<int>(cells.size())) {
     inner_threads = options.threads / static_cast<int>(cells.size());
@@ -376,12 +376,7 @@ SweepResult RunSweepCells(const ScenarioSpec& spec,
     RunCell(spec, data, options, cells[index], inner_threads,
             &result.cells[index]);
   };
-  if (pool != nullptr) {
-    pool->ParallelFor(cells.size(), run_cell);
-  } else {
-    ThreadPool local_pool(options.threads);
-    local_pool.ParallelFor(cells.size(), run_cell);
-  }
+  ThreadPool::Shared().ParallelFor(cells.size(), options.threads, run_cell);
 
   RecomputeComponentGains(&result);
 

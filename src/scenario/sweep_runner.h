@@ -3,12 +3,12 @@
 // The grid expands deterministically — axes form a cross product (first axis
 // slowest), methods innermost — and every cell solves with a *fresh*
 // SolveContext seeded from (scenario seed, cell index). Cells are the unit of
-// parallelism: `threads` workers pull cells through the shared ThreadPool and
-// write results into pre-sized slots, so the gathered SweepResult is ordered
-// by cell index and bit-identical to a serial run (the determinism tests and
-// the artifact byte-identity guarantee rest on this). The one exception is a
-// non-zero per-cell deadline, which is inherently wall-clock-dependent — see
-// SweepRunnerOptions::deadline_seconds.
+// parallelism: up to `threads` threads pull cells through the process-wide
+// ThreadPool and write results into pre-sized slots, so the gathered
+// SweepResult is ordered by cell index and bit-identical to a serial run (the
+// determinism tests and the artifact byte-identity guarantee rest on this).
+// The one exception is a non-zero per-cell deadline, which is inherently
+// wall-clock-dependent — see SweepRunnerOptions::deadline_seconds.
 //
 // Per-cell wall times are recorded for reporting but are the only
 // non-deterministic fields; the artifact writer excludes them by default.
@@ -27,7 +27,6 @@
 #include "data/generator.h"
 #include "data/wtp_matrix.h"
 #include "scenario/scenario_spec.h"
-#include "util/thread_pool.h"
 
 namespace bundlemine {
 
@@ -77,8 +76,9 @@ struct SweepResult {
 };
 
 struct SweepRunnerOptions {
-  /// Worker threads across cells; <= 1 runs serially. Results are
-  /// bit-identical at any count.
+  /// Width across cells on the shared ThreadPool: the calling thread plus
+  /// up to threads − 1 idle workers; <= 1 runs serially on the calling
+  /// thread. Results are bit-identical at any width.
   int threads = 1;
   /// Per-cell wall-clock budget (0 = none); deadline-aware solvers return a
   /// valid partial configuration and flag stats.deadline_hit. A non-zero
@@ -169,8 +169,8 @@ void RecomputeComponentGains(SweepResult* result);
 /// in `cells` order; per-cell seeding depends only on the stable grid
 /// index, so a shard's cells solve bit-identically to the same cells of a
 /// full run. Gains fill from the "components" cell at the same axis point
-/// when that cell is present in `cells`. `pool` (optional) supplies the
-/// workers; when null a private pool of options.threads is used.
+/// when that cell is present in `cells`. Cells run on the shared ThreadPool
+/// at width `options.threads`, next to any other jobs in the process.
 /// `wtp_provider` (optional) serves the per-(dataset, λ) WTP matrices — the
 /// Engine passes its λ-keyed cache. When the cell list is smaller than
 /// `options.threads`, the surplus workers move inside the cells: each
@@ -180,7 +180,6 @@ SweepResult RunSweepCells(const ScenarioSpec& spec,
                           const std::vector<SweepCell>& cells,
                           const RatingsDataset& dataset,
                           const SweepRunnerOptions& options = {},
-                          ThreadPool* pool = nullptr,
                           const DatasetProvider& provider = nullptr,
                           const WtpProvider& wtp_provider = nullptr);
 

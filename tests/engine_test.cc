@@ -1,22 +1,29 @@
 // Engine facade tests: Status-based error paths (no aborts on user input),
-// dataset-cache hit behavior, batch determinism, shard partition identity,
-// and the golden tiny-theta artifact flowing byte-identically through the
-// new API — including the artifact reader's write→read→write round trip.
+// dataset-cache hit behavior, batch determinism, concurrent requests on the
+// shared pool, shard partition identity, and the golden tiny-theta artifact
+// flowing byte-identically through the new API — including the artifact
+// reader's write→read→write round trip.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/engine.h"
 #include "core/bundler_registry.h"
+#include "core/resolve_hints.h"
 #include "data/generator.h"
 #include "data/wtp_matrix.h"
 #include "gtest/gtest.h"
+#include "market/market_delta.h"
+#include "market/market_stream.h"
 #include "scenario/artifact_reader.h"
 #include "scenario/artifact_writer.h"
 #include "scenario/scenario_spec.h"
@@ -428,6 +435,118 @@ TEST(SolveBatch, MatchesIndividualSolvesAndRepeats) {
   // The bad request fails alone; it does not poison the batch.
   ASSERT_FALSE(batch.back().ok());
   EXPECT_EQ(batch.back().status().code(), StatusCode::kNotFound);
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent requests on the shared pool.
+// ---------------------------------------------------------------------------
+
+// One tenant's session against its own market: a first resolve, a delta
+// batch, and an incremental resolve, all at width 1. Returns both artifacts.
+std::vector<std::string> TenantSession(Engine& engine, int seed) {
+  DatasetSpec dataset_spec;
+  dataset_spec.profile = "tiny";
+  dataset_spec.seed = static_cast<std::uint64_t>(seed);
+  auto dataset = engine.Dataset(dataset_spec);
+  EXPECT_TRUE(dataset.ok());
+  MarketStream market("tenant-" + std::to_string(seed));
+  EXPECT_TRUE(market.Load(**dataset).ok());
+  ResolveRequest request;
+  request.market = &market;
+  request.spec = *ResolveScenarioSpec(
+      "scale=tiny;methods=components,pure-matching,mixed-matching;"
+      "axis:theta=0,0.05");
+  request.options.threads = 1;
+
+  std::vector<std::string> artifacts;
+  auto first = engine.Resolve(request);
+  EXPECT_TRUE(first.ok());
+  artifacts.push_back(SweepArtifactJson(first->result));
+
+  MarketDelta scale;
+  scale.op = MarketDeltaOp::kScalePrice;
+  scale.item = 3;
+  scale.value = 2.0;
+  MarketDelta update;
+  update.op = MarketDeltaOp::kUpdateRating;
+  update.user = (*dataset)->ratings()[0].user;
+  update.item = (*dataset)->ratings()[0].item;
+  update.stars = 5.0;
+  EXPECT_TRUE(market.Apply({scale, update}).ok());
+  auto second = engine.Resolve(request);
+  EXPECT_TRUE(second.ok());
+  EXPECT_GT(second->pairs_reused, 0);
+  artifacts.push_back(SweepArtifactJson(second->result));
+  return artifacts;
+}
+
+// A two-cell sweep at width 4: each cell's solver gets two threads, so the
+// cell job nests candidate-evaluation jobs on the same pool.
+std::string WideSweep(Engine& engine) {
+  SweepRequest request;
+  request.spec = *ResolveScenarioSpec(
+      "scale=tiny;seed=5;methods=mixed-matching;axis:theta=0,0.05");
+  request.options.threads = 4;
+  auto response = engine.Sweep(request);
+  EXPECT_TRUE(response.ok());
+  return SweepArtifactJson(response->result);
+}
+
+TEST(ConcurrentEngine, TenantResolvesBesideAWideSweepMatchSerialCalls) {
+  constexpr int kTenants = 4;
+  constexpr int kFirstSeed = 11;
+  std::vector<std::vector<std::string>> expected;
+  std::string expected_sweep;
+  {
+    Engine engine;
+    for (int t = 0; t < kTenants; ++t) {
+      expected.push_back(TenantSession(engine, kFirstSeed + t));
+    }
+    expected_sweep = WideSweep(engine);
+  }
+
+  Engine engine;
+  std::vector<std::vector<std::string>> got(kTenants);
+  std::string got_sweep;
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kTenants; ++t) {
+    callers.emplace_back([&engine, &got, t] {
+      got[static_cast<std::size_t>(t)] = TenantSession(engine, kFirstSeed + t);
+    });
+  }
+  callers.emplace_back([&engine, &got_sweep] { got_sweep = WideSweep(engine); });
+  for (std::thread& caller : callers) caller.join();
+
+  for (int t = 0; t < kTenants; ++t) {
+    EXPECT_EQ(got[static_cast<std::size_t>(t)],
+              expected[static_cast<std::size_t>(t)])
+        << "tenant " << t;
+  }
+  EXPECT_EQ(got_sweep, expected_sweep);
+}
+
+TEST(MatchingPairCache, FindsGainAndNoGainPairsAndMissesTheRest) {
+  MatchingPairCache cache;
+  const MatchingPairCache::Outcome gain{true, 1.5, 9.0, 18.0, 2.0};
+  cache.Record(0, 3, MatchingPairCache::Outcome{});
+  cache.Record(1, 2, gain);
+  cache.Record(1, 4, MatchingPairCache::Outcome{});
+  EXPECT_EQ(cache.size(), 3u);
+
+  std::optional<MatchingPairCache::Outcome> priced = cache.Find(1, 2);
+  ASSERT_TRUE(priced.has_value());
+  EXPECT_TRUE(priced->has_gain);
+  EXPECT_EQ(priced->gain, 1.5);
+  EXPECT_EQ(priced->price, 9.0);
+  EXPECT_EQ(priced->revenue, 18.0);
+  EXPECT_EQ(priced->buyers, 2.0);
+
+  std::optional<MatchingPairCache::Outcome> no_gain = cache.Find(0, 3);
+  ASSERT_TRUE(no_gain.has_value());
+  EXPECT_FALSE(no_gain->has_gain);
+
+  EXPECT_FALSE(cache.Find(0, 4).has_value());
+  EXPECT_FALSE(cache.Find(2, 1).has_value());
 }
 
 // ---------------------------------------------------------------------------

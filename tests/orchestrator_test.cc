@@ -94,7 +94,7 @@ class Fleet {
 };
 
 // Fast-failure option defaults so fault tests retry in milliseconds, with
-// timing knobs generous enough for a single-core CI box.
+// timing knobs generous enough for a slow sanitizer build on a busy runner.
 OrchestratorOptions FastOptions() {
   OrchestratorOptions options;
   options.shard_count = 4;

@@ -1,10 +1,14 @@
 // Unit tests for util: strings, CSV, flags, RNG, timers, table printing,
-// JSON parsing, and Status.
+// JSON parsing, Status, and the shared thread pool.
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "util/csv.h"
@@ -14,6 +18,7 @@
 #include "util/status.h"
 #include "util/strings.h"
 #include "util/table_printer.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace bundlemine {
@@ -318,6 +323,59 @@ TEST(StatusOr, HoldsValueOrStatus) {
   StatusOr<std::unique_ptr<int>> owner(std::make_unique<int>(5));
   std::unique_ptr<int> taken = std::move(owner).value();
   EXPECT_EQ(*taken, 5);
+}
+
+// Runs one job of `width` on the shared pool and reports whether every
+// index ran exactly once, every slot stayed below the width, and slot 0 —
+// and only slot 0 — ran on the calling thread. `nested` starts a width-3
+// job from inside index 0.
+bool RunCheckedJob(std::size_t n, int width, bool nested) {
+  std::vector<std::atomic<int>> hits(n);
+  std::atomic<bool> ok{true};
+  const std::thread::id caller = std::this_thread::get_id();
+  ThreadPool::Shared().ParallelFor(n, width, [&](std::size_t index, int slot) {
+    hits[index].fetch_add(1, std::memory_order_relaxed);
+    if (slot < 0 || slot >= width) ok = false;
+    if ((slot == 0) != (std::this_thread::get_id() == caller)) ok = false;
+    if (nested && index == 0 && !RunCheckedJob(n, 3, false)) ok = false;
+  });
+  for (const std::atomic<int>& h : hits) {
+    if (h.load() != 1) ok = false;
+  }
+  return ok;
+}
+
+TEST(ThreadPool, ConcurrentAndNestedJobsRunEveryIndexOnce) {
+  constexpr int kSubmitters = 4;
+  std::vector<char> ok(kSubmitters, 0);
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([t, &ok] {
+      bool all = true;
+      for (int round = 0; round < 20; ++round) {
+        for (int width : {1, 2, 4}) {
+          all = RunCheckedJob(1000, width, t == 0 && width == 4) && all;
+        }
+      }
+      ok[static_cast<std::size_t>(t)] = all ? 1 : 0;
+    });
+  }
+  for (std::thread& submitter : submitters) submitter.join();
+  for (int t = 0; t < kSubmitters; ++t) {
+    EXPECT_TRUE(ok[static_cast<std::size_t>(t)]) << "submitter " << t;
+  }
+}
+
+TEST(ThreadPool, ExceptionReachesTheCallerOnceTheJobDrains) {
+  for (int width : {1, 4}) {
+    EXPECT_THROW(ThreadPool::Shared().ParallelFor(
+                     100, width,
+                     [](std::size_t index, int /*slot*/) {
+                       if (index == 37) throw std::runtime_error("boom");
+                     }),
+                 std::runtime_error);
+  }
+  EXPECT_TRUE(RunCheckedJob(1000, 4, false));  // The pool still serves jobs.
 }
 
 }  // namespace
