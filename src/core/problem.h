@@ -64,8 +64,9 @@ struct BundleConfigProblem {
   bool soa_columns = true;
 
   /// Vertex-count ceiling for the exact blossom matcher inside Algorithm 1;
-  /// larger graphs fall back to the greedy 1/2-approximate matcher. 0 forces
-  /// the greedy matcher everywhere (ablation).
+  /// larger graphs fall back to the greedy 1/2-approximate matcher. The
+  /// matcher's memory is O(V + E), so the ceiling only bounds its roughly
+  /// V·E running time. 0 forces the greedy matcher everywhere (ablation).
   int exact_matching_limit = 4000;
 
   /// Stochastic composition of the mixed upgrade constraints (ablation).

@@ -9,10 +9,11 @@
 //             revenue[b] + dp[S \ b]
 //
 // finds it exactly in O(3^N) time and Θ(2^N) memory — the same optimum as
-// the general branch-and-bound in set_packing.h (cross-checked in tests),
-// but fast enough to push the exact frontier to N = 20 on a laptop. Like the
-// paper's ILP, it falls off a cliff at N = 25 (8.5e11 transitions), which
-// bench_table45_wsp reports rather than attempts.
+// the general set-packing branch-and-bound that ilp_test.cc cross-checks it
+// against (tests/oracles/set_packing.h), but fast enough to push the exact
+// frontier to N = 20 on a laptop. Like the paper's ILP, it falls off a cliff
+// at N = 25 (8.5e11 transitions), which bench_table45_wsp reports rather than
+// attempts.
 
 #ifndef BUNDLEMINE_ILP_PARTITION_DP_H_
 #define BUNDLEMINE_ILP_PARTITION_DP_H_

@@ -3,41 +3,561 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <tuple>
+#include <utility>
 
 #include "util/check.h"
 
 namespace bundlemine {
 
 namespace {
-constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
+
+// Scaled weights stay below 2^59, so a slack dual[i] + dual[j] - 2w (duals
+// are bounded by the largest weight) never leaves int64.
+constexpr std::int64_t kMaxScaledWeight = std::int64_t{1} << 59;
+
+// Top-level blossom labels. A vertex inside a blossom carries its own label
+// only where Van Rantwijk's algorithm tracks it (the T-vertex entry point).
+constexpr int kFree = 0;
+constexpr int kOuter = 1;    // S-blossom: an even distance from a tree root.
+constexpr int kInner = 2;    // T-blossom.
+constexpr int kVisited = 4;  // ScanBlossom's temporary mark, or-ed onto kOuter.
+
+// The primal-dual search over a deduplicated edge list. Vertices are 0..n-1,
+// blossoms n..2n-1. Edge k has endpoints 2k and 2k+1; "endpoint p" names the
+// vertex endpoint_[p], and p ^ 1 is the other end of the same edge. The
+// member names follow mwmatching.py so the two can be read side by side.
+class BlossomSearch {
+ public:
+  BlossomSearch(int n, std::vector<int> endpoint, std::vector<std::int64_t> w2)
+      : n_(n),
+        endpoint_(std::move(endpoint)),
+        w2_(std::move(w2)),
+        mate_(Idx(n), -1),
+        label_(2 * Idx(n), kFree),
+        labelend_(2 * Idx(n), -1),
+        inblossom_(Idx(n)),
+        blossomparent_(2 * Idx(n), -1),
+        blossomchilds_(2 * Idx(n)),
+        blossomendps_(2 * Idx(n)),
+        blossombase_(2 * Idx(n), -1),
+        bestedge_(2 * Idx(n), -1),
+        bestslack_(2 * Idx(n), 0),
+        blossombestedges_(2 * Idx(n)),
+        dual_(2 * Idx(n), 0),
+        allowedge_(w2_.size(), 0),
+        bestedgeto_(2 * Idx(n), -1),
+        bestslackto_(2 * Idx(n), 0) {
+    // CSR adjacency: vertex v's arcs carry (neighbour, neighbour's endpoint,
+    // 2w) inline, in edge-id order, so the scan reads one contiguous run.
+    arc_begin_.assign(Idx(n) + 1, 0);
+    for (int p : endpoint_) ++arc_begin_[Idx(p) + 1];
+    for (std::size_t v = 0; v < Idx(n); ++v) arc_begin_[v + 1] += arc_begin_[v];
+    arcs_.resize(endpoint_.size());
+    std::vector<int> fill(arc_begin_.begin(), arc_begin_.end() - 1);
+    std::int64_t max_w2 = 0;
+    for (int p = 0; p < static_cast<int>(endpoint_.size()); p += 2) {
+      const int i = endpoint_[Idx(p)];
+      const int j = endpoint_[Idx(p) + 1];
+      const std::int64_t w2k = w2_[Idx(p >> 1)];
+      arcs_[Idx(fill[Idx(i)]++)] = Arc{j, p + 1, w2k};
+      arcs_[Idx(fill[Idx(j)]++)] = Arc{i, p, w2k};
+      max_w2 = std::max(max_w2, w2k);
+    }
+    for (int v = 0; v < n; ++v) {
+      inblossom_[Idx(v)] = v;
+      blossombase_[Idx(v)] = v;
+      dual_[Idx(v)] = max_w2 / 2;
+    }
+    for (int b = 2 * n - 1; b >= n; --b) unusedblossoms_.push_back(b);
+  }
+
+  // Runs stages until no augmenting path improves the weight; returns mate:
+  // the remote endpoint of each vertex's matched edge, or -1.
+  std::vector<int> Run() {
+    for (int stage = 0; stage < n_; ++stage) {
+      std::fill(label_.begin(), label_.end(), kFree);
+      std::fill(bestedge_.begin(), bestedge_.end(), -1);
+      for (std::size_t b = static_cast<std::size_t>(n_); b < blossombestedges_.size(); ++b) {
+        blossombestedges_[b].reset();
+      }
+      std::fill(allowedge_.begin(), allowedge_.end(), 0);
+      queue_.clear();
+      for (int v = 0; v < n_; ++v) {
+        if (mate_[Idx(v)] == -1 && label_[Idx(inblossom_[Idx(v)])] == kFree) {
+          AssignLabel(v, kOuter, -1);
+        }
+      }
+      if (!Augmented()) break;
+      // Blossoms whose dual reached zero may go: expanding them now keeps
+      // the blossom count bounded without changing the optimum.
+      for (int b = n_; b < 2 * n_; ++b) {
+        if (blossomparent_[Idx(b)] == -1 && blossombase_[Idx(b)] >= 0 &&
+            label_[Idx(b)] == kOuter && dual_[Idx(b)] == 0) {
+          ExpandBlossom(b, /*endstage=*/true);
+        }
+      }
+    }
+    return std::move(mate_);
+  }
+
+ private:
+  struct Arc {
+    int to;           // Neighbouring vertex.
+    int p;            // `to`'s endpoint of the edge; p >> 1 is the edge id.
+    std::int64_t w2;  // Twice the edge weight.
+  };
+
+  static std::size_t Idx(int i) { return static_cast<std::size_t>(i); }
+
+  std::int64_t Slack(int k) const {
+    return dual_[Idx(endpoint_[2 * Idx(k)])] + dual_[Idx(endpoint_[2 * Idx(k) + 1])] -
+           w2_[Idx(k)];
+  }
+
+  void SetBestEdge(int x, int k, std::int64_t slack) {
+    bestedge_[Idx(x)] = k;
+    bestslack_[Idx(x)] = slack;
+  }
+
+  // Calls f(v) for every vertex inside (sub-)blossom b, in child order.
+  template <typename F>
+  void ForEachLeaf(int b, F&& f) const {
+    if (b < n_) {
+      f(b);
+      return;
+    }
+    for (int t : blossomchilds_[Idx(b)]) ForEachLeaf(t, f);
+  }
+
+  // Positions along a blossom's child cycle wrap like Python's negative
+  // indices.
+  static std::size_t Wrap(int j, std::size_t size) {
+    return j < 0 ? static_cast<std::size_t>(j + static_cast<int>(size)) : static_cast<std::size_t>(j);
+  }
+
+  // Labels the top-level blossom containing w with t, reached through
+  // endpoint p; an inner label pulls the mate's blossom in as outer.
+  void AssignLabel(int w, int t, int p) {
+    while (true) {
+      int b = inblossom_[Idx(w)];
+      label_[Idx(w)] = label_[Idx(b)] = t;
+      labelend_[Idx(w)] = labelend_[Idx(b)] = p;
+      bestedge_[Idx(w)] = bestedge_[Idx(b)] = -1;
+      if (t == kOuter) {
+        ForEachLeaf(b, [this](int v) { queue_.push_back(v); });
+        return;
+      }
+      int base_mate = mate_[Idx(blossombase_[Idx(b)])];
+      w = endpoint_[Idx(base_mate)];
+      t = kOuter;
+      p = base_mate ^ 1;
+    }
+  }
+
+  // Traces back from v and w towards their roots; returns the base of the
+  // new blossom, or -1 when the roots differ (an augmenting path).
+  int ScanBlossom(int v, int w) {
+    path_.clear();
+    int base = -1;
+    while (v != -1 || w != -1) {
+      int b = inblossom_[Idx(v)];
+      if (label_[Idx(b)] & kVisited) {
+        base = blossombase_[Idx(b)];
+        break;
+      }
+      path_.push_back(b);
+      label_[Idx(b)] = kOuter | kVisited;
+      if (labelend_[Idx(b)] == -1) {
+        v = -1;
+      } else {
+        v = endpoint_[Idx(labelend_[Idx(b)])];
+        b = inblossom_[Idx(v)];
+        v = endpoint_[Idx(labelend_[Idx(b)])];
+      }
+      if (w != -1) std::swap(v, w);
+    }
+    for (int b : path_) label_[Idx(b)] = kOuter;
+    return base;
+  }
+
+  // Shrinks the odd cycle closed by edge k, with the given base, into a new
+  // outer blossom, and gathers its least-slack edges to other outer
+  // blossoms.
+  void AddBlossom(int base, int k) {
+    int v = endpoint_[2 * Idx(k)];
+    int w = endpoint_[2 * Idx(k) + 1];
+    int bb = inblossom_[Idx(base)];
+    int bv = inblossom_[Idx(v)];
+    int bw = inblossom_[Idx(w)];
+    BM_CHECK(!unusedblossoms_.empty());
+    int b = unusedblossoms_.back();
+    unusedblossoms_.pop_back();
+    blossombase_[Idx(b)] = base;
+    blossomparent_[Idx(b)] = -1;
+    blossomparent_[Idx(bb)] = b;
+    std::vector<int>& path = blossomchilds_[Idx(b)];
+    std::vector<int>& endps = blossomendps_[Idx(b)];
+    path.clear();
+    endps.clear();
+    while (bv != bb) {
+      blossomparent_[Idx(bv)] = b;
+      path.push_back(bv);
+      endps.push_back(labelend_[Idx(bv)]);
+      v = endpoint_[Idx(labelend_[Idx(bv)])];
+      bv = inblossom_[Idx(v)];
+    }
+    path.push_back(bb);
+    std::reverse(path.begin(), path.end());
+    std::reverse(endps.begin(), endps.end());
+    endps.push_back(2 * k);
+    while (bw != bb) {
+      blossomparent_[Idx(bw)] = b;
+      path.push_back(bw);
+      endps.push_back(labelend_[Idx(bw)] ^ 1);
+      w = endpoint_[Idx(labelend_[Idx(bw)])];
+      bw = inblossom_[Idx(w)];
+    }
+    label_[Idx(b)] = kOuter;
+    labelend_[Idx(b)] = labelend_[Idx(bb)];
+    dual_[Idx(b)] = 0;
+    ForEachLeaf(b, [this, b](int leaf) {
+      if (label_[Idx(inblossom_[Idx(leaf)])] == kInner) queue_.push_back(leaf);
+      inblossom_[Idx(leaf)] = b;
+    });
+
+    // bestedgeto_[x]: least-slack edge from the new blossom to outer
+    // blossom x. Sub-blossoms that kept such a list contribute it; the rest
+    // contribute every arc of their leaves.
+    auto consider = [this, b](int j, int edge, std::int64_t slack) {
+      int bj = inblossom_[Idx(j)];
+      if (bj != b && label_[Idx(bj)] == kOuter &&
+          (bestedgeto_[Idx(bj)] == -1 || slack < bestslackto_[Idx(bj)])) {
+        bestedgeto_[Idx(bj)] = edge;
+        bestslackto_[Idx(bj)] = slack;
+      }
+    };
+    for (int sub : path) {
+      if (blossombestedges_[Idx(sub)].has_value()) {
+        for (int edge : *blossombestedges_[Idx(sub)]) {
+          int i = endpoint_[2 * Idx(edge)];
+          int j = endpoint_[2 * Idx(edge) + 1];
+          if (inblossom_[Idx(j)] == b) std::swap(i, j);
+          consider(j, edge, Slack(edge));
+        }
+      } else {
+        ForEachLeaf(sub, [&](int leaf) {
+          for (int a = arc_begin_[Idx(leaf)]; a < arc_begin_[Idx(leaf) + 1]; ++a) {
+            const Arc& arc = arcs_[Idx(a)];
+            consider(arc.to, arc.p >> 1, dual_[Idx(leaf)] + dual_[Idx(arc.to)] - arc.w2);
+          }
+        });
+      }
+      blossombestedges_[Idx(sub)].reset();
+      bestedge_[Idx(sub)] = -1;
+    }
+    std::vector<int>& best = blossombestedges_[Idx(b)].emplace();
+    bestedge_[Idx(b)] = -1;
+    for (std::size_t x = 0; x < bestedgeto_.size(); ++x) {
+      int edge = bestedgeto_[x];
+      if (edge == -1) continue;
+      best.push_back(edge);
+      if (bestedge_[Idx(b)] == -1 || bestslackto_[x] < bestslack_[Idx(b)]) {
+        SetBestEdge(b, edge, bestslackto_[x]);
+      }
+      bestedgeto_[x] = -1;
+    }
+  }
+
+  // Dissolves blossom b: at the end of a stage (dual 0, outer), or mid-stage
+  // when an inner blossom's dual reaches zero, relabelling its children.
+  void ExpandBlossom(int b, bool endstage) {
+    for (int s : blossomchilds_[Idx(b)]) {
+      blossomparent_[Idx(s)] = -1;
+      if (s < n_) {
+        inblossom_[Idx(s)] = s;
+      } else if (endstage && dual_[Idx(s)] == 0) {
+        ExpandBlossom(s, endstage);
+      } else {
+        ForEachLeaf(s, [this, s](int v) { inblossom_[Idx(v)] = s; });
+      }
+    }
+    if (!endstage && label_[Idx(b)] == kInner) {
+      const std::vector<int>& childs = blossomchilds_[Idx(b)];
+      const std::vector<int>& endps = blossomendps_[Idx(b)];
+      const std::size_t size = childs.size();
+      int entrychild = inblossom_[Idx(endpoint_[Idx(labelend_[Idx(b)] ^ 1)])];
+      int j = static_cast<int>(std::find(childs.begin(), childs.end(), entrychild) - childs.begin());
+      int jstep;
+      int endptrick;
+      if (j & 1) {
+        j -= static_cast<int>(size);
+        jstep = 1;
+        endptrick = 0;
+      } else {
+        jstep = -1;
+        endptrick = 1;
+      }
+      // Relabel the even-length path from the entry child to the base.
+      int p = labelend_[Idx(b)];
+      while (j != 0) {
+        label_[Idx(endpoint_[Idx(p ^ 1)])] = kFree;
+        label_[Idx(endpoint_[Idx(endps[Wrap(j - endptrick, size)] ^ endptrick ^ 1)])] = kFree;
+        AssignLabel(endpoint_[Idx(p ^ 1)], kInner, p);
+        allowedge_[Idx(endps[Wrap(j - endptrick, size)] >> 1)] = 1;
+        j += jstep;
+        p = endps[Wrap(j - endptrick, size)] ^ endptrick;
+        allowedge_[Idx(p >> 1)] = 1;
+        j += jstep;
+      }
+      int bv = childs[Wrap(j, size)];
+      label_[Idx(endpoint_[Idx(p ^ 1)])] = label_[Idx(bv)] = kInner;
+      labelend_[Idx(endpoint_[Idx(p ^ 1)])] = labelend_[Idx(bv)] = p;
+      bestedge_[Idx(bv)] = -1;
+      j += jstep;
+      // The other children go back to free unless a leaf was reached from
+      // outside, in which case that child becomes inner.
+      while (childs[Wrap(j, size)] != entrychild) {
+        bv = childs[Wrap(j, size)];
+        if (label_[Idx(bv)] == kOuter) {
+          j += jstep;
+          continue;
+        }
+        int labelled = -1;
+        ForEachLeaf(bv, [this, &labelled](int v) {
+          if (labelled == -1 && label_[Idx(v)] != kFree) labelled = v;
+        });
+        if (labelled != -1) {
+          label_[Idx(labelled)] = kFree;
+          label_[Idx(endpoint_[Idx(mate_[Idx(blossombase_[Idx(bv)])])])] = kFree;
+          AssignLabel(labelled, kInner, labelend_[Idx(labelled)]);
+        }
+        j += jstep;
+      }
+    }
+    label_[Idx(b)] = labelend_[Idx(b)] = -1;
+    blossomchilds_[Idx(b)].clear();
+    blossomendps_[Idx(b)].clear();
+    blossombase_[Idx(b)] = -1;
+    blossombestedges_[Idx(b)].reset();
+    bestedge_[Idx(b)] = -1;
+    unusedblossoms_.push_back(b);
+  }
+
+  // Swaps matched and unmatched edges along the even path from vertex v to
+  // blossom b's base, then rotates b so v becomes its base.
+  void AugmentBlossom(int b, int v) {
+    int t = v;
+    while (blossomparent_[Idx(t)] != b) t = blossomparent_[Idx(t)];
+    if (t >= n_) AugmentBlossom(t, v);
+    std::vector<int>& childs = blossomchilds_[Idx(b)];
+    std::vector<int>& endps = blossomendps_[Idx(b)];
+    const std::size_t size = childs.size();
+    const int i = static_cast<int>(std::find(childs.begin(), childs.end(), t) - childs.begin());
+    int j = i;
+    int jstep;
+    int endptrick;
+    if (i & 1) {
+      j -= static_cast<int>(size);
+      jstep = 1;
+      endptrick = 0;
+    } else {
+      jstep = -1;
+      endptrick = 1;
+    }
+    while (j != 0) {
+      j += jstep;
+      t = childs[Wrap(j, size)];
+      int p = endps[Wrap(j - endptrick, size)] ^ endptrick;
+      if (t >= n_) AugmentBlossom(t, endpoint_[Idx(p)]);
+      j += jstep;
+      t = childs[Wrap(j, size)];
+      if (t >= n_) AugmentBlossom(t, endpoint_[Idx(p ^ 1)]);
+      mate_[Idx(endpoint_[Idx(p)])] = p ^ 1;
+      mate_[Idx(endpoint_[Idx(p ^ 1)])] = p;
+    }
+    std::rotate(childs.begin(), childs.begin() + i, childs.end());
+    std::rotate(endps.begin(), endps.begin() + i, endps.end());
+    blossombase_[Idx(b)] = blossombase_[Idx(childs[0])];
+  }
+
+  // Augments along the path through edge k between two outer trees.
+  void AugmentMatching(int k) {
+    const int ends[2][2] = {{endpoint_[2 * Idx(k)], 2 * k + 1},
+                            {endpoint_[2 * Idx(k) + 1], 2 * k}};
+    for (const auto& [start, start_p] : ends) {
+      int s = start;
+      int p = start_p;
+      while (true) {
+        int bs = inblossom_[Idx(s)];
+        if (bs >= n_) AugmentBlossom(bs, s);
+        mate_[Idx(s)] = p;
+        if (labelend_[Idx(bs)] == -1) break;
+        int t = endpoint_[Idx(labelend_[Idx(bs)])];
+        int bt = inblossom_[Idx(t)];
+        s = endpoint_[Idx(labelend_[Idx(bt)])];
+        int j = endpoint_[Idx(labelend_[Idx(bt)] ^ 1)];
+        if (bt >= n_) AugmentBlossom(bt, j);
+        mate_[Idx(j)] = labelend_[Idx(bt)];
+        p = labelend_[Idx(bt)] ^ 1;
+      }
+    }
+  }
+
+  // One stage: grows the alternating forest and adjusts duals until an
+  // augmentation (true) or until the vertex duals reach zero (false).
+  bool Augmented() {
+    while (true) {
+      while (!queue_.empty()) {
+        int v = queue_.back();
+        queue_.pop_back();
+        const std::int64_t dual_v = dual_[Idx(v)];
+        for (int a = arc_begin_[Idx(v)]; a < arc_begin_[Idx(v) + 1]; ++a) {
+          const Arc& arc = arcs_[Idx(a)];
+          const int w = arc.to;
+          const int bv = inblossom_[Idx(v)];
+          const int bw = inblossom_[Idx(w)];
+          if (bv == bw) continue;
+          const int k = arc.p >> 1;
+          std::int64_t kslack = 0;
+          if (!allowedge_[Idx(k)]) {
+            kslack = dual_v + dual_[Idx(w)] - arc.w2;
+            if (kslack <= 0) allowedge_[Idx(k)] = 1;
+          }
+          if (allowedge_[Idx(k)]) {
+            if (label_[Idx(bw)] == kFree) {
+              AssignLabel(w, kInner, arc.p ^ 1);
+            } else if (label_[Idx(bw)] == kOuter) {
+              int base = ScanBlossom(v, w);
+              if (base < 0) {
+                AugmentMatching(k);
+                return true;
+              }
+              AddBlossom(base, k);
+            } else if (label_[Idx(w)] == kFree) {
+              label_[Idx(w)] = kInner;
+              labelend_[Idx(w)] = arc.p ^ 1;
+            }
+          } else if (label_[Idx(bw)] == kOuter) {
+            if (bestedge_[Idx(bv)] == -1 || kslack < bestslack_[Idx(bv)]) {
+              SetBestEdge(bv, k, kslack);
+            }
+          } else if (label_[Idx(w)] == kFree) {
+            if (bestedge_[Idx(w)] == -1 || kslack < bestslack_[Idx(w)]) {
+              SetBestEdge(w, k, kslack);
+            }
+          }
+        }
+      }
+
+      // No tight edge left: pick the smallest dual change that makes
+      // progress. Type 1 (a vertex dual reaches zero) ends the search.
+      int deltatype = 1;
+      std::int64_t delta = *std::min_element(dual_.begin(), dual_.begin() + n_);
+      int deltaedge = -1;
+      int deltablossom = -1;
+      for (int v = 0; v < n_; ++v) {
+        if (label_[Idx(inblossom_[Idx(v)])] == kFree && bestedge_[Idx(v)] != -1 &&
+            bestslack_[Idx(v)] < delta) {
+          delta = bestslack_[Idx(v)];
+          deltatype = 2;
+          deltaedge = bestedge_[Idx(v)];
+        }
+      }
+      for (int b = 0; b < 2 * n_; ++b) {
+        if (blossomparent_[Idx(b)] == -1 && label_[Idx(b)] == kOuter &&
+            bestedge_[Idx(b)] != -1 && bestslack_[Idx(b)] / 2 < delta) {
+          delta = bestslack_[Idx(b)] / 2;
+          deltatype = 3;
+          deltaedge = bestedge_[Idx(b)];
+        }
+      }
+      for (int b = n_; b < 2 * n_; ++b) {
+        if (blossombase_[Idx(b)] >= 0 && blossomparent_[Idx(b)] == -1 &&
+            label_[Idx(b)] == kInner && dual_[Idx(b)] < delta) {
+          delta = dual_[Idx(b)];
+          deltatype = 4;
+          deltablossom = b;
+        }
+      }
+
+      for (int v = 0; v < n_; ++v) {
+        int lbl = label_[Idx(inblossom_[Idx(v)])];
+        if (lbl == kOuter) {
+          dual_[Idx(v)] -= delta;
+        } else if (lbl == kInner) {
+          dual_[Idx(v)] += delta;
+        }
+      }
+      for (int b = n_; b < 2 * n_; ++b) {
+        if (blossombase_[Idx(b)] >= 0 && blossomparent_[Idx(b)] == -1) {
+          if (label_[Idx(b)] == kOuter) {
+            dual_[Idx(b)] += delta;
+          } else if (label_[Idx(b)] == kInner) {
+            dual_[Idx(b)] -= delta;
+          }
+        }
+      }
+      // The duals moved, so refresh every cached best-edge slack once here
+      // instead of recomputing Slack(bestedge) at each scan comparison.
+      for (std::size_t x = 0; x < bestedge_.size(); ++x) {
+        if (bestedge_[x] != -1) bestslack_[x] = Slack(bestedge_[x]);
+      }
+
+      if (deltatype == 1) return false;
+      if (deltatype == 4) {
+        ExpandBlossom(deltablossom, /*endstage=*/false);
+        continue;
+      }
+      allowedge_[Idx(deltaedge)] = 1;
+      int i = endpoint_[2 * Idx(deltaedge)];
+      if (deltatype == 2 && label_[Idx(inblossom_[Idx(i)])] == kFree) {
+        i = endpoint_[2 * Idx(deltaedge) + 1];
+      }
+      queue_.push_back(i);
+    }
+  }
+
+  const int n_;
+  std::vector<int> endpoint_;       // 2E: vertex of each edge endpoint.
+  std::vector<std::int64_t> w2_;    // E: twice each edge weight.
+  std::vector<int> arc_begin_;      // n+1: CSR offsets into arcs_.
+  std::vector<Arc> arcs_;           // 2E.
+  std::vector<int> mate_;           // n: remote endpoint of the matched edge.
+  std::vector<int> label_;          // 2n: kFree / kOuter / kInner.
+  std::vector<int> labelend_;       // 2n: endpoint through which labelled.
+  std::vector<int> inblossom_;      // n: top-level blossom of each vertex.
+  std::vector<int> blossomparent_;  // 2n.
+  std::vector<std::vector<int>> blossomchilds_;  // 2n: odd child cycle.
+  std::vector<std::vector<int>> blossomendps_;   // 2n: endpoints along it.
+  std::vector<int> blossombase_;    // 2n: base vertex, -1 when unused.
+  std::vector<int> bestedge_;       // 2n: least-slack edge (-1: none).
+  std::vector<std::int64_t> bestslack_;  // 2n: Slack(bestedge_), current.
+  // Outer blossoms' least-slack edges to other outer blossoms; empty
+  // optional = not computed, use the leaves' arcs.
+  std::vector<std::optional<std::vector<int>>> blossombestedges_;
+  std::vector<std::int64_t> dual_;  // 2n: 2·u(v) for vertices, z(b) for blossoms.
+  std::vector<std::uint8_t> allowedge_;  // E: edge known tight this stage.
+  std::vector<int> unusedblossoms_;
+  std::vector<int> queue_;          // Outer vertices still to scan.
+  std::vector<int> path_;           // ScanBlossom scratch.
+  std::vector<int> bestedgeto_;     // AddBlossom scratch, all -1 between calls.
+  std::vector<std::int64_t> bestslackto_;
+};
+
 }  // namespace
 
 MaxWeightMatcher::MaxWeightMatcher(int num_vertices, double scale)
     : n_(num_vertices), scale_(scale) {
   BM_CHECK_GE(num_vertices, 0);
   BM_CHECK_GT(scale, 0.0);
-  stride_ = static_cast<std::size_t>(2 * n_ + 1);
-  g_.assign(stride_ * stride_, EdgeSlot{});
-  for (int u = 0; u <= 2 * n_; ++u) {
-    for (int v = 0; v <= 2 * n_; ++v) {
-      EdgeAt(u, v) = EdgeSlot{u, v, 0};
-    }
-  }
-  lab_.assign(stride_, 0);
-  match_.assign(stride_, 0);
-  slack_.assign(stride_, 0);
-  st_.assign(stride_, 0);
-  pa_.assign(stride_, 0);
-  s_label_.assign(stride_, -1);
-  vis_.assign(stride_, 0);
-  flower_.assign(stride_, {});
-  flower_from_.assign(stride_, std::vector<int>(static_cast<std::size_t>(n_) + 1, 0));
 }
 
 void MaxWeightMatcher::AddEdge(int u, int v, double weight) {
   if (weight <= 0.0) return;
   double scaled = weight * scale_;
-  BM_CHECK_MSG(scaled < static_cast<double>(kInf) / 4,
+  BM_CHECK_MSG(scaled < static_cast<double>(kMaxScaledWeight),
                "edge weight too large for fixed-point scale");
   AddEdgeScaled(u, v, static_cast<std::int64_t>(std::llround(scaled)));
 }
@@ -45,301 +565,44 @@ void MaxWeightMatcher::AddEdge(int u, int v, double weight) {
 void MaxWeightMatcher::AddEdgeScaled(int u, int v, std::int64_t weight) {
   BM_CHECK(u >= 0 && u < n_);
   BM_CHECK(v >= 0 && v < n_);
+  BM_CHECK_MSG(weight < kMaxScaledWeight, "edge weight too large for fixed-point scale");
   if (u == v || weight <= 0) return;
-  EdgeSlot& e = EdgeAt(u + 1, v + 1);
-  if (weight > e.w) {
-    e.w = weight;
-    EdgeAt(v + 1, u + 1).w = weight;
-  }
-}
-
-std::int64_t MaxWeightMatcher::EDelta(const EdgeSlot& e) const {
-  return lab_[static_cast<std::size_t>(e.u)] + lab_[static_cast<std::size_t>(e.v)] -
-         EdgeAt(e.u, e.v).w * 2;
-}
-
-void MaxWeightMatcher::UpdateSlack(int u, int x) {
-  if (slack_[static_cast<std::size_t>(x)] == 0 ||
-      EDelta(EdgeAt(u, x)) < EDelta(EdgeAt(slack_[static_cast<std::size_t>(x)], x))) {
-    slack_[static_cast<std::size_t>(x)] = u;
-  }
-}
-
-void MaxWeightMatcher::SetSlack(int x) {
-  slack_[static_cast<std::size_t>(x)] = 0;
-  for (int u = 1; u <= n_; ++u) {
-    if (EdgeAt(u, x).w > 0 && st_[static_cast<std::size_t>(u)] != x &&
-        s_label_[static_cast<std::size_t>(st_[static_cast<std::size_t>(u)])] == 0) {
-      UpdateSlack(u, x);
-    }
-  }
-}
-
-void MaxWeightMatcher::QPush(int x) {
-  if (x <= n_) {
-    queue_.push_back(x);
-  } else {
-    for (int t : flower_[static_cast<std::size_t>(x)]) QPush(t);
-  }
-}
-
-void MaxWeightMatcher::SetSt(int x, int b) {
-  st_[static_cast<std::size_t>(x)] = b;
-  if (x > n_) {
-    for (int t : flower_[static_cast<std::size_t>(x)]) SetSt(t, b);
-  }
-}
-
-int MaxWeightMatcher::GetPr(int b, int xr) {
-  auto& f = flower_[static_cast<std::size_t>(b)];
-  int pr = static_cast<int>(std::find(f.begin(), f.end(), xr) - f.begin());
-  if (pr % 2 == 1) {
-    // Walk the cycle the other way so the even-length side is used.
-    std::reverse(f.begin() + 1, f.end());
-    return static_cast<int>(f.size()) - pr;
-  }
-  return pr;
-}
-
-void MaxWeightMatcher::SetMatch(int u, int v) {
-  match_[static_cast<std::size_t>(u)] = EdgeAt(u, v).v;
-  if (u <= n_) return;
-  EdgeSlot e = EdgeAt(u, v);
-  int xr = flower_from_[static_cast<std::size_t>(u)][static_cast<std::size_t>(e.u)];
-  int pr = GetPr(u, xr);
-  auto& f = flower_[static_cast<std::size_t>(u)];
-  for (int i = 0; i < pr; ++i) SetMatch(f[static_cast<std::size_t>(i)], f[static_cast<std::size_t>(i ^ 1)]);
-  SetMatch(xr, v);
-  std::rotate(f.begin(), f.begin() + pr, f.end());
-}
-
-void MaxWeightMatcher::Augment(int u, int v) {
-  while (true) {
-    int xnv = st_[static_cast<std::size_t>(match_[static_cast<std::size_t>(u)])];
-    SetMatch(u, v);
-    if (xnv == 0) return;
-    SetMatch(xnv, st_[static_cast<std::size_t>(pa_[static_cast<std::size_t>(xnv)])]);
-    u = st_[static_cast<std::size_t>(pa_[static_cast<std::size_t>(xnv)])];
-    v = xnv;
-  }
-}
-
-int MaxWeightMatcher::GetLca(int u, int v) {
-  for (++lca_clock_; u != 0 || v != 0; std::swap(u, v)) {
-    if (u == 0) continue;
-    if (vis_[static_cast<std::size_t>(u)] == lca_clock_) return u;
-    vis_[static_cast<std::size_t>(u)] = lca_clock_;
-    u = st_[static_cast<std::size_t>(match_[static_cast<std::size_t>(u)])];
-    if (u != 0) u = st_[static_cast<std::size_t>(pa_[static_cast<std::size_t>(u)])];
-  }
-  return 0;
-}
-
-void MaxWeightMatcher::AddBlossom(int u, int lca, int v) {
-  int b = n_ + 1;
-  while (b <= n_x_ && st_[static_cast<std::size_t>(b)] != 0) ++b;
-  if (b > n_x_) ++n_x_;
-  BM_CHECK_LE(b, 2 * n_);
-
-  lab_[static_cast<std::size_t>(b)] = 0;
-  s_label_[static_cast<std::size_t>(b)] = 0;
-  match_[static_cast<std::size_t>(b)] = match_[static_cast<std::size_t>(lca)];
-  auto& f = flower_[static_cast<std::size_t>(b)];
-  f.clear();
-  f.push_back(lca);
-  for (int x = u, y; x != lca; x = st_[static_cast<std::size_t>(pa_[static_cast<std::size_t>(y)])]) {
-    f.push_back(x);
-    y = st_[static_cast<std::size_t>(match_[static_cast<std::size_t>(x)])];
-    f.push_back(y);
-    QPush(y);
-  }
-  std::reverse(f.begin() + 1, f.end());
-  for (int x = v, y; x != lca; x = st_[static_cast<std::size_t>(pa_[static_cast<std::size_t>(y)])]) {
-    f.push_back(x);
-    y = st_[static_cast<std::size_t>(match_[static_cast<std::size_t>(x)])];
-    f.push_back(y);
-    QPush(y);
-  }
-  SetSt(b, b);
-  for (int x = 1; x <= n_x_; ++x) {
-    EdgeAt(b, x).w = 0;
-    EdgeAt(x, b).w = 0;
-  }
-  std::fill(flower_from_[static_cast<std::size_t>(b)].begin(),
-            flower_from_[static_cast<std::size_t>(b)].end(), 0);
-  for (int xs : f) {
-    for (int x = 1; x <= n_x_; ++x) {
-      if (EdgeAt(b, x).w == 0 || EDelta(EdgeAt(xs, x)) < EDelta(EdgeAt(b, x))) {
-        EdgeAt(b, x) = EdgeAt(xs, x);
-        EdgeAt(x, b) = EdgeAt(x, xs);
-      }
-    }
-    for (int x = 1; x <= n_; ++x) {
-      if (flower_from_[static_cast<std::size_t>(xs)][static_cast<std::size_t>(x)] != 0) {
-        flower_from_[static_cast<std::size_t>(b)][static_cast<std::size_t>(x)] = xs;
-      }
-    }
-  }
-  SetSlack(b);
-}
-
-void MaxWeightMatcher::ExpandBlossom(int b) {
-  auto& f = flower_[static_cast<std::size_t>(b)];
-  for (int t : f) SetSt(t, t);
-  int xr = flower_from_[static_cast<std::size_t>(b)][static_cast<std::size_t>(
-      EdgeAt(b, pa_[static_cast<std::size_t>(b)]).u)];
-  int pr = GetPr(b, xr);
-  for (int i = 0; i < pr; i += 2) {
-    int xs = f[static_cast<std::size_t>(i)];
-    int xns = f[static_cast<std::size_t>(i) + 1];
-    pa_[static_cast<std::size_t>(xs)] = EdgeAt(xns, xs).u;
-    s_label_[static_cast<std::size_t>(xs)] = 1;
-    s_label_[static_cast<std::size_t>(xns)] = 0;
-    slack_[static_cast<std::size_t>(xs)] = 0;
-    SetSlack(xns);
-    QPush(xns);
-  }
-  s_label_[static_cast<std::size_t>(xr)] = 1;
-  pa_[static_cast<std::size_t>(xr)] = pa_[static_cast<std::size_t>(b)];
-  for (std::size_t i = static_cast<std::size_t>(pr) + 1; i < f.size(); ++i) {
-    int xs = f[i];
-    s_label_[static_cast<std::size_t>(xs)] = -1;
-    SetSlack(xs);
-  }
-  st_[static_cast<std::size_t>(b)] = 0;
-}
-
-bool MaxWeightMatcher::OnFoundEdge(const EdgeSlot& e) {
-  int u = st_[static_cast<std::size_t>(e.u)];
-  int v = st_[static_cast<std::size_t>(e.v)];
-  if (s_label_[static_cast<std::size_t>(v)] == -1) {
-    // Grow the alternating tree: v becomes inner, its mate outer.
-    pa_[static_cast<std::size_t>(v)] = e.u;
-    s_label_[static_cast<std::size_t>(v)] = 1;
-    int nu = st_[static_cast<std::size_t>(match_[static_cast<std::size_t>(v)])];
-    slack_[static_cast<std::size_t>(v)] = 0;
-    slack_[static_cast<std::size_t>(nu)] = 0;
-    s_label_[static_cast<std::size_t>(nu)] = 0;
-    QPush(nu);
-  } else if (s_label_[static_cast<std::size_t>(v)] == 0) {
-    int lca = GetLca(u, v);
-    if (lca == 0) {
-      Augment(u, v);
-      Augment(v, u);
-      return true;
-    }
-    AddBlossom(u, lca, v);
-  }
-  return false;
-}
-
-bool MaxWeightMatcher::MatchingPhase() {
-  std::fill(s_label_.begin(), s_label_.begin() + n_x_ + 1, -1);
-  std::fill(slack_.begin(), slack_.begin() + n_x_ + 1, 0);
-  queue_.clear();
-  for (int x = 1; x <= n_x_; ++x) {
-    if (st_[static_cast<std::size_t>(x)] == x && match_[static_cast<std::size_t>(x)] == 0) {
-      pa_[static_cast<std::size_t>(x)] = 0;
-      s_label_[static_cast<std::size_t>(x)] = 0;
-      QPush(x);
-    }
-  }
-  if (queue_.empty()) return false;
-
-  while (true) {
-    while (!queue_.empty()) {
-      int u = queue_.front();
-      queue_.pop_front();
-      if (s_label_[static_cast<std::size_t>(st_[static_cast<std::size_t>(u)])] == 1) continue;
-      for (int v = 1; v <= n_; ++v) {
-        if (EdgeAt(u, v).w > 0 &&
-            st_[static_cast<std::size_t>(u)] != st_[static_cast<std::size_t>(v)]) {
-          if (EDelta(EdgeAt(u, v)) == 0) {
-            if (OnFoundEdge(EdgeAt(u, v))) return true;
-          } else {
-            UpdateSlack(u, st_[static_cast<std::size_t>(v)]);
-          }
-        }
-      }
-    }
-
-    // Dual adjustment.
-    std::int64_t d = kInf;
-    for (int b = n_ + 1; b <= n_x_; ++b) {
-      if (st_[static_cast<std::size_t>(b)] == b && s_label_[static_cast<std::size_t>(b)] == 1) {
-        d = std::min(d, lab_[static_cast<std::size_t>(b)] / 2);
-      }
-    }
-    for (int x = 1; x <= n_x_; ++x) {
-      if (st_[static_cast<std::size_t>(x)] == x && slack_[static_cast<std::size_t>(x)] != 0) {
-        std::int64_t delta = EDelta(EdgeAt(slack_[static_cast<std::size_t>(x)], x));
-        if (s_label_[static_cast<std::size_t>(x)] == -1) {
-          d = std::min(d, delta);
-        } else if (s_label_[static_cast<std::size_t>(x)] == 0) {
-          d = std::min(d, delta / 2);
-        }
-      }
-    }
-    for (int u = 1; u <= n_; ++u) {
-      int lbl = s_label_[static_cast<std::size_t>(st_[static_cast<std::size_t>(u)])];
-      if (lbl == 0) {
-        if (lab_[static_cast<std::size_t>(u)] <= d) return false;  // Duals exhausted.
-        lab_[static_cast<std::size_t>(u)] -= d;
-      } else if (lbl == 1) {
-        lab_[static_cast<std::size_t>(u)] += d;
-      }
-    }
-    for (int b = n_ + 1; b <= n_x_; ++b) {
-      if (st_[static_cast<std::size_t>(b)] == b) {
-        if (s_label_[static_cast<std::size_t>(b)] == 0) {
-          lab_[static_cast<std::size_t>(b)] += d * 2;
-        } else if (s_label_[static_cast<std::size_t>(b)] == 1) {
-          lab_[static_cast<std::size_t>(b)] -= d * 2;
-        }
-      }
-    }
-
-    queue_.clear();
-    for (int x = 1; x <= n_x_; ++x) {
-      if (st_[static_cast<std::size_t>(x)] == x && slack_[static_cast<std::size_t>(x)] != 0 &&
-          st_[static_cast<std::size_t>(slack_[static_cast<std::size_t>(x)])] != x &&
-          EDelta(EdgeAt(slack_[static_cast<std::size_t>(x)], x)) == 0) {
-        if (OnFoundEdge(EdgeAt(slack_[static_cast<std::size_t>(x)], x))) return true;
-      }
-    }
-    for (int b = n_ + 1; b <= n_x_; ++b) {
-      if (st_[static_cast<std::size_t>(b)] == b && s_label_[static_cast<std::size_t>(b)] == 1 &&
-          lab_[static_cast<std::size_t>(b)] == 0) {
-        ExpandBlossom(b);
-      }
-    }
-  }
+  edges_.push_back(Edge{std::min(u, v), std::max(u, v), weight});
 }
 
 MatchingResult MaxWeightMatcher::Solve() {
   BM_CHECK_MSG(!solved_, "Solve() may only be called once");
   solved_ = true;
 
-  n_x_ = n_;
-  std::int64_t w_max = 0;
-  for (int u = 1; u <= n_; ++u) {
-    st_[static_cast<std::size_t>(u)] = u;
-    flower_[static_cast<std::size_t>(u)].clear();
-    flower_from_[static_cast<std::size_t>(u)][static_cast<std::size_t>(u)] = u;
-    for (int v = 1; v <= n_; ++v) w_max = std::max(w_max, EdgeAt(u, v).w);
+  // Canonical edge order, parallel edges merged to their maximum weight:
+  // the search below then depends on the edge set alone.
+  std::sort(edges_.begin(), edges_.end(), [](const Edge& a, const Edge& b) {
+    return std::tie(a.u, a.v, b.w) < std::tie(b.u, b.v, a.w);
+  });
+  std::vector<int> endpoint;
+  std::vector<std::int64_t> w2;
+  endpoint.reserve(2 * edges_.size());
+  w2.reserve(edges_.size());
+  for (std::size_t k = 0; k < edges_.size(); ++k) {
+    const Edge& e = edges_[k];
+    if (k > 0 && e.u == edges_[k - 1].u && e.v == edges_[k - 1].v) continue;
+    endpoint.push_back(e.u);
+    endpoint.push_back(e.v);
+    w2.push_back(2 * e.w);
   }
-  for (int u = 1; u <= n_; ++u) lab_[static_cast<std::size_t>(u)] = w_max;
+  std::vector<Edge>().swap(edges_);
+  BM_CHECK_LE(endpoint.size(), static_cast<std::size_t>(std::numeric_limits<int>::max()));
 
-  while (MatchingPhase()) {
-  }
-
+  std::vector<int> mate_endpoint = BlossomSearch(n_, endpoint, w2).Run();
   MatchingResult result;
   result.mate.assign(static_cast<std::size_t>(n_), -1);
-  for (int u = 1; u <= n_; ++u) {
-    int m = match_[static_cast<std::size_t>(u)];
-    if (m != 0) {
-      result.mate[static_cast<std::size_t>(u) - 1] = m - 1;
-      if (u < m) result.total_weight_scaled += EdgeAt(u, m).w;
+  for (std::size_t v = 0; v < mate_endpoint.size(); ++v) {
+    int p = mate_endpoint[v];
+    if (p == -1) continue;
+    int m = endpoint[static_cast<std::size_t>(p)];
+    result.mate[v] = m;
+    if (static_cast<int>(v) < m) {
+      result.total_weight_scaled += w2[static_cast<std::size_t>(p >> 1)] / 2;
     }
   }
   result.total_weight = static_cast<double>(result.total_weight_scaled) / scale_;

@@ -4,22 +4,26 @@
 // the paper reduces optimal 2-sized bundle configuration to maximum-weight
 // matching and re-runs a matching per iteration of Algorithm 1.
 //
-// Implementation: the classic O(V³) primal-dual blossom algorithm over a
-// dense adjacency matrix, with integer weights and the standard "×2" scaling
-// so that all dual variables stay integral (no floating-point drift in the
-// optimality conditions). Vertices left unmatched are allowed — the algorithm
-// maximizes total weight, not cardinality — which is exactly the bundling
-// semantics: an unmatched item keeps its self-revenue outside the matcher.
+// Implementation: the edge-list primal-dual blossom algorithm (Galil 1986,
+// after Van Rantwijk's mwmatching). Each stage grows alternating trees over
+// a CSR adjacency until one augmentation; the edges are scanned about once
+// per stage and each dual update costs O(V), so memory is O(V + E). Weights
+// are integers with the standard "×2" scaling so that all dual variables stay
+// integral (no floating-point drift in the optimality conditions). Vertices
+// left unmatched are allowed — the
+// algorithm maximizes total weight, not cardinality — which is exactly the
+// bundling semantics: an unmatched item keeps its self-revenue outside the
+// matcher.
 //
 // Double-valued revenues are converted through a fixed-point scale (see
 // `MaxWeightMatcher::kDefaultScale`); exactness against a brute-force oracle
-// is covered by randomized property tests.
+// and against the former dense matcher (tests/oracles/) is covered by
+// randomized property tests.
 
 #ifndef BUNDLEMINE_MATCHING_MAX_WEIGHT_MATCHING_H_
 #define BUNDLEMINE_MATCHING_MAX_WEIGHT_MATCHING_H_
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 namespace bundlemine {
@@ -38,9 +42,8 @@ struct MatchingResult {
 /// weighted edges (non-positive weights are ignored — they can never be part
 /// of a maximum-weight matching), then Solve().
 ///
-/// Memory is Θ(V²); intended for graphs up to a few thousand vertices. The
-/// bundling layer prunes to vertices incident to a positive-gain edge before
-/// instantiating the matcher.
+/// The result depends only on the edge set: Solve() sorts the edges and merges
+/// parallel ones, so the order of AddEdge calls never changes the mate.
 class MaxWeightMatcher {
  public:
   /// Fixed-point factor for double → integer weight conversion: revenues are
@@ -54,6 +57,7 @@ class MaxWeightMatcher {
   void AddEdge(int u, int v, double weight);
 
   /// Adds an edge with an exact integer weight (already in scaled units).
+  /// Weights must stay below 2^59 so dual arithmetic cannot overflow.
   void AddEdgeScaled(int u, int v, std::int64_t weight);
 
   /// Computes a maximum-weight matching. May be called once per instance.
@@ -62,49 +66,15 @@ class MaxWeightMatcher {
   int num_vertices() const { return n_; }
 
  private:
-  struct EdgeSlot {
-    int u = 0, v = 0;
+  struct Edge {
+    int u = 0, v = 0;  // u < v.
     std::int64_t w = 0;
   };
 
-  // Internal blossom machinery (1-indexed; index 0 is the null sentinel).
-  std::int64_t EDelta(const EdgeSlot& e) const;
-  void UpdateSlack(int u, int x);
-  void SetSlack(int x);
-  void QPush(int x);
-  void SetSt(int x, int b);
-  int GetPr(int b, int xr);
-  void SetMatch(int u, int v);
-  void Augment(int u, int v);
-  int GetLca(int u, int v);
-  void AddBlossom(int u, int lca, int v);
-  void ExpandBlossom(int b);
-  bool OnFoundEdge(const EdgeSlot& e);
-  bool MatchingPhase();
-
-  EdgeSlot& EdgeAt(int u, int v) { return g_[static_cast<std::size_t>(u) * stride_ + v]; }
-  const EdgeSlot& EdgeAt(int u, int v) const {
-    return g_[static_cast<std::size_t>(u) * stride_ + v];
-  }
-
-  int n_ = 0;        // Real vertices.
-  int n_x_ = 0;      // Real vertices + active blossoms.
-  std::size_t stride_ = 0;
+  int n_ = 0;
   double scale_ = kDefaultScale;
   bool solved_ = false;
-
-  std::vector<EdgeSlot> g_;            // Dense (2n+1)² adjacency.
-  std::vector<std::int64_t> lab_;      // Dual variables.
-  std::vector<int> match_;             // Matched real endpoint (0 = none).
-  std::vector<int> slack_;             // Best slack vertex per node.
-  std::vector<int> st_;                // Surface blossom of each node.
-  std::vector<int> pa_;                // Tree parent (real endpoint).
-  std::vector<int> s_label_;           // -1 free, 0 outer, 1 inner.
-  std::vector<int> vis_;               // LCA timestamps.
-  std::vector<std::vector<int>> flower_;       // Blossom cycles.
-  std::vector<std::vector<int>> flower_from_;  // blossom × real vertex → sub-blossom.
-  std::deque<int> queue_;
-  int lca_clock_ = 0;
+  std::vector<Edge> edges_;  // As added; Solve() sorts and merges them.
 };
 
 }  // namespace bundlemine

@@ -8,7 +8,7 @@
 #include "gtest/gtest.h"
 #include "ilp/bundle_enumeration.h"
 #include "ilp/partition_dp.h"
-#include "ilp/set_packing.h"
+#include "oracles/set_packing.h"
 #include "pricing/offer_pricer.h"
 #include "util/rng.h"
 

@@ -1,14 +1,21 @@
 // Tests for the blossom maximum-weight matcher, the brute-force oracle, and
 // the greedy matcher. The central guarantee — exact optimality of the blossom
 // implementation — is established by randomized cross-checks against the
-// bitmask-DP oracle over hundreds of graph instances.
+// bitmask-DP oracle over hundreds of small graph instances, and against the
+// former dense blossom matcher on graphs of up to 300 vertices.
 
 #include "matching/max_weight_matching.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "matching/simple_matchers.h"
+#include "oracles/dense_max_weight_matching.h"
 #include "util/rng.h"
 
 namespace bundlemine {
@@ -198,23 +205,69 @@ TEST(GreedyMatcher, HalfApproximationOnRandomGraphs) {
   }
 }
 
-TEST(MaxWeightMatcher, LargerRandomGraphAgainstGreedyLowerBound) {
-  // On a 60-vertex random graph the blossom result must dominate greedy and
-  // be structurally valid (no oracle available at this size).
-  Rng rng(4242);
-  int n = 60;
-  std::vector<WeightedEdge> edges;
-  for (int u = 0; u < n; ++u) {
-    for (int v = u + 1; v < n; ++v) {
-      if (rng.UniformDouble() < 0.15) {
-        edges.push_back(WeightedEdge{u, v, rng.UniformDouble(0.5, 20.0)});
+// ---------------------------------------------------------------------------
+// Randomized cross-validation beyond the brute force's reach: the edge-list
+// matcher against the former dense O(V³) matcher (tests/oracles/) on graphs
+// of 20-300 vertices. Tie-heavy weights give many equal-weight optima, so
+// only the weight must agree; the mate must be a valid matching over input
+// edges and must not depend on the order edges were added.
+// ---------------------------------------------------------------------------
+
+TEST(MaxWeightMatcher, EqualsDenseOracleOnLargeGraphs) {
+  Rng rng(20260);
+  for (int trial = 0; trial < 160; ++trial) {
+    const int n = rng.UniformInt(20, 300);
+    const bool tie_heavy = trial % 2 == 0;
+    const double degree = rng.UniformDouble(1.0, 12.0);
+    std::vector<WeightedEdge> edges;
+    const int num_edges = static_cast<int>(degree * n / 2);
+    for (int i = 0; i < num_edges; ++i) {
+      int u = rng.UniformInt(0, n - 1);
+      int v = rng.Bernoulli(0.02) ? u : rng.UniformInt(0, n - 1);  // Self-loops.
+      double w = tie_heavy ? static_cast<double>(rng.UniformInt(1, 5))
+                           : rng.UniformDouble(0.01, 25.0);
+      if (rng.Bernoulli(0.05)) w = rng.Bernoulli(0.5) ? 0.0 : -w;  // Ignored.
+      edges.push_back(WeightedEdge{u, v, w});
+      if (rng.Bernoulli(0.05)) {  // A parallel edge, reversed.
+        edges.push_back(WeightedEdge{v, u, tie_heavy ? w : rng.UniformDouble(0.01, 25.0)});
       }
     }
+
+    DenseMaxWeightMatcher dense(n);
+    for (const WeightedEdge& e : edges) dense.AddEdge(e.u, e.v, e.w);
+    const MatchingResult expected = dense.Solve();
+    const MatchingResult actual = SolveBlossom(n, edges);
+    ASSERT_EQ(actual.total_weight_scaled, expected.total_weight_scaled)
+        << "trial " << trial << " n=" << n << " edges=" << edges.size();
+
+    // Every matched pair is an input edge of positive weight, and the pairs'
+    // scaled weights add up to the reported total.
+    ExpectValidMatching(n, actual);
+    std::map<std::pair<int, int>, std::int64_t> best;
+    for (const WeightedEdge& e : edges) {
+      if (e.u == e.v || e.w <= 0.0) continue;
+      std::int64_t scaled =
+          std::llround(e.w * MaxWeightMatcher::kDefaultScale);
+      std::int64_t& slot = best[{std::min(e.u, e.v), std::max(e.u, e.v)}];
+      slot = std::max(slot, scaled);
+    }
+    std::int64_t mates_weight = 0;
+    for (int v = 0; v < n; ++v) {
+      int m = actual.mate[static_cast<std::size_t>(v)];
+      if (m <= v) continue;
+      auto it = best.find({v, m});
+      ASSERT_NE(it, best.end()) << "trial " << trial << " matched non-edge " << v << "-" << m;
+      mates_weight += it->second;
+    }
+    EXPECT_EQ(mates_weight, actual.total_weight_scaled) << "trial " << trial;
+
+    std::vector<WeightedEdge> shuffled = edges;
+    rng.Shuffle(&shuffled);
+    for (WeightedEdge& e : shuffled) {
+      if (rng.Bernoulli(0.5)) std::swap(e.u, e.v);
+    }
+    EXPECT_EQ(SolveBlossom(n, shuffled).mate, actual.mate) << "trial " << trial;
   }
-  MatchingResult blossom = SolveBlossom(n, edges);
-  MatchingResult greedy = GreedyMaxWeightMatching(n, edges);
-  ExpectValidMatching(n, blossom);
-  EXPECT_GE(blossom.total_weight + 1e-9, greedy.total_weight);
 }
 
 }  // namespace

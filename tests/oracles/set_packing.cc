@@ -1,4 +1,4 @@
-#include "ilp/set_packing.h"
+#include "oracles/set_packing.h"
 
 #include <algorithm>
 #include <cmath>

@@ -1,4 +1,6 @@
-// Weighted set packing solvers (paper Section 5.2).
+// Weighted set packing solvers (paper Section 5.2). Test-only: the library
+// solves the "Optimal" column with ilp/partition_dp.h, and ilp_test.cc
+// cross-checks that DP against these solvers.
 //
 // The paper reduces pure bundling over an enumerated candidate-bundle pool to
 // weighted set packing and solves it two ways: exactly with a commercial ILP
@@ -16,8 +18,8 @@
 // All three return identical optima on small instances (see ilp_test.cc),
 // which is the property the paper relies on for its "Optimal" column.
 
-#ifndef BUNDLEMINE_ILP_SET_PACKING_H_
-#define BUNDLEMINE_ILP_SET_PACKING_H_
+#ifndef BUNDLEMINE_TESTS_ORACLES_SET_PACKING_H_
+#define BUNDLEMINE_TESTS_ORACLES_SET_PACKING_H_
 
 #include <cstdint>
 #include <vector>
@@ -67,4 +69,4 @@ bool IsFeasiblePacking(const SetPackingInstance& instance,
 
 }  // namespace bundlemine
 
-#endif  // BUNDLEMINE_ILP_SET_PACKING_H_
+#endif  // BUNDLEMINE_TESTS_ORACLES_SET_PACKING_H_

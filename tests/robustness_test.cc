@@ -2,6 +2,9 @@
 // contracts a release build must keep), boundary inputs, and performance
 // guards that fail if hot paths regress by an order of magnitude.
 
+#include <cstdint>
+#include <limits>
+
 #include "core/bundler_registry.h"
 #include "core/wsp_bundler.h"
 #include "data/generator.h"
@@ -34,6 +37,19 @@ TEST(RobustnessDeathTest, MatcherRejectsOutOfRangeVertices) {
   MaxWeightMatcher matcher(3);
   EXPECT_DEATH(matcher.AddEdge(0, 3, 1.0), "CHECK failed");
   EXPECT_DEATH(matcher.AddEdge(-1, 1, 1.0), "CHECK failed");
+}
+
+TEST(RobustnessDeathTest, MatcherRejectsOverflowingScaledWeights) {
+  // Weights at or above 2^59 could overflow dual + dual - 2w; both entry
+  // points enforce the same bound.
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  MaxWeightMatcher matcher(2);
+  EXPECT_DEATH(matcher.AddEdgeScaled(0, 1, std::numeric_limits<std::int64_t>::max()),
+               "edge weight too large");
+  EXPECT_DEATH(matcher.AddEdgeScaled(0, 1, std::int64_t{1} << 59), "edge weight too large");
+  EXPECT_DEATH(matcher.AddEdge(0, 1, 1e300), "edge weight too large");
+  matcher.AddEdgeScaled(0, 1, (std::int64_t{1} << 59) - 1);
+  EXPECT_EQ(matcher.Solve().total_weight_scaled, (std::int64_t{1} << 59) - 1);
 }
 
 TEST(RobustnessDeathTest, MatcherSolveIsSingleShot) {
