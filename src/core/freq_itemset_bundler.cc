@@ -117,13 +117,14 @@ BundleSolution FreqItemsetBundler::Solve(const BundleConfigProblem& problem,
 
     Candidate c;
     c.items = Bundle(std::vector<ItemId>(fi.items.begin(), fi.items.end()));
-    // Merge the component audiences.
-    SparseWtpVector raw;
-    for (int item : fi.items) {
-      raw = SparseWtpVector::Merge(raw, item_raw[static_cast<std::size_t>(item)]);
-    }
     ++context.stats().pairs_evaluated;
     if (pure) {
+      // Merge the component audiences; the mixed path prices the items'
+      // vectors as separate sides and never needs the merged one.
+      SparseWtpVector raw;
+      for (int item : fi.items) {
+        raw = SparseWtpVector::Merge(raw, item_raw[static_cast<std::size_t>(item)]);
+      }
       PricedOffer priced = pricer.PriceOffer(raw, scale, &ws);
       double parts = 0.0;
       for (int item : fi.items) {

@@ -43,14 +43,6 @@ double SparseWtpVector::Sum() const {
   return s;
 }
 
-double SparseWtpVector::ValueFor(std::int32_t user) const {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), user,
-      [](const WtpEntry& e, std::int32_t u) { return e.id < u; });
-  if (it != entries_.end() && it->id == user) return it->w;
-  return 0.0;
-}
-
 void WtpMatrix::BuildFromCoordinates(
     int num_users, int num_items,
     std::vector<std::tuple<UserId, ItemId, double>> coords,

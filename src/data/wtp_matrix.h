@@ -47,9 +47,6 @@ class SparseWtpVector {
   /// Sum of all coordinates (total raw WTP of the bundle).
   double Sum() const;
 
-  /// WTP of a given user (0 when absent); binary search.
-  double ValueFor(std::int32_t user) const;
-
  private:
   std::vector<WtpEntry> entries_;
 };

@@ -16,38 +16,63 @@ namespace {
 // and for positive-gain feasibility.
 constexpr double kMargin = 1e-9;
 
-// Sorted-merge join of the two sparse supports, written into `out` (cleared
-// first; no allocation once the buffer is warm).
-void JoinSupportsInto(const SparseWtpVector& a, const SparseWtpVector& b,
-                      std::vector<JointWtpEntry>* out) {
-  out->clear();
-  const auto& ea = a.entries();
-  const auto& eb = b.entries();
-  std::size_t i = 0, j = 0;
-  while (i < ea.size() && j < eb.size()) {
-    if (ea[i].id < eb[j].id) {
-      out->push_back(JointWtpEntry{ea[i].id, ea[i].w, 0.0});
-      ++i;
-    } else if (ea[i].id > eb[j].id) {
-      out->push_back(JointWtpEntry{eb[j].id, 0.0, eb[j].w});
-      ++j;
-    } else {
-      out->push_back(JointWtpEntry{ea[i].id, ea[i].w, eb[j].w});
-      ++i;
-      ++j;
-    }
+// Forward cursor over a payment vector for queries in ascending user order.
+// Entries are strictly sorted by id, so each query returns the entry's value
+// (0 when the user is absent) with amortized O(1) work instead of a binary
+// search over the whole vector.
+class PaymentCursor {
+ public:
+  explicit PaymentCursor(const SparseWtpVector& payments)
+      : it_(payments.entries().data()), end_(it_ + payments.nnz()) {}
+
+  double At(std::int32_t user) {
+    while (it_ != end_ && it_->id < user) ++it_;
+    return it_ != end_ && it_->id == user ? it_->w : 0.0;
   }
-  while (i < ea.size()) out->push_back(JointWtpEntry{ea[i].id, ea[i].w, 0.0}), ++i;
-  while (j < eb.size()) out->push_back(JointWtpEntry{eb[j].id, 0.0, eb[j].w}), ++j;
+
+ private:
+  const WtpEntry* it_;
+  const WtpEntry* end_;
+};
+
+// One forward merge over the two sides' raw supports in ascending user
+// order: calls fn(user, raw1, raw2, base) per consumer of the union, where a
+// side's raw WTP reads 0 when the consumer is absent from it and `base` is
+// the consumer's payment on side 1 plus side 2 (read by one PaymentCursor
+// per side).
+template <typename Fn>
+void ForEachJointConsumer(const MergeSide& side1, const MergeSide& side2,
+                          Fn&& fn) {
+  const std::vector<WtpEntry>& ea = side1.raw->entries();
+  const std::vector<WtpEntry>& eb = side2.raw->entries();
+  PaymentCursor pay1(*side1.payments);
+  PaymentCursor pay2(*side2.payments);
+  std::size_t i = 0, j = 0;
+  while (i < ea.size() || j < eb.size()) {
+    std::int32_t user = 0;
+    double raw1 = 0.0;
+    double raw2 = 0.0;
+    if (j == eb.size() || (i < ea.size() && ea[i].id < eb[j].id)) {
+      user = ea[i].id;
+      raw1 = ea[i++].w;
+    } else if (i == ea.size() || eb[j].id < ea[i].id) {
+      user = eb[j].id;
+      raw2 = eb[j++].w;
+    } else {
+      user = ea[i].id;
+      raw1 = ea[i++].w;
+      raw2 = eb[j++].w;
+    }
+    fn(user, raw1, raw2, pay1.At(user) + pay2.At(user));
+  }
 }
 
 // Stages the joint audience of the two sides into the workspace SoA columns
 // (per-side raw WTP plus forgone base payment, one slot per consumer in
 // ascending user-id order) and returns its size. When both sides carry a
 // dense view, the join iterates the support-union bitset over the dense
-// columns — no sorted merge and no binary-searched payment lookups; the
-// values and their order are identical to the sparse join (absent entries
-// read as +0.0, matching the explicit zeros JoinSupportsInto writes).
+// columns; otherwise it is one forward merge over the sparse vectors. Both
+// produce the same values in the same order (absent entries read as +0.0).
 std::size_t StageJointAudience(const MergeSide& side1, const MergeSide& side2,
                                PricingWorkspace* ws) {
   std::vector<double>& r1 = ws->soa_raw1;
@@ -73,13 +98,12 @@ std::size_t StageJointAudience(const MergeSide& side1, const MergeSide& side2,
     }
     return r1.size();
   }
-  JoinSupportsInto(*side1.raw, *side2.raw, &ws->joint);
-  for (const JointWtpEntry& u : ws->joint) {
-    r1.push_back(u.raw1);
-    r2.push_back(u.raw2);
-    base.push_back(side1.payments->ValueFor(u.user) +
-                   side2.payments->ValueFor(u.user));
-  }
+  ForEachJointConsumer(side1, side2,
+                       [&](std::int32_t, double raw1, double raw2, double b) {
+                         r1.push_back(raw1);
+                         r2.push_back(raw2);
+                         base.push_back(b);
+                       });
   return r1.size();
 }
 
@@ -266,25 +290,34 @@ MergeGainResult MixedPricer::MultiMergeGain(const std::vector<MergeSide>& sides,
   const std::size_t kBase = m + 2;
   std::vector<double>& rows = ws->consumer_state;
   rows.assign(users.size() * stride, 0.0);
-  for (std::size_t j = 0; j < m; ++j) {
-    for (const WtpEntry& e : sides[j].raw->entries()) {
-      std::size_t idx = static_cast<std::size_t>(
-          std::lower_bound(users.begin(), users.end(), e.id) - users.begin());
-      rows[idx * stride + j] = alpha * sides[j].scale * e.w;
-      rows[idx * stride + kBundle] += e.w;  // Raw total, rescaled below.
+  // Every side's raw and payment entries ascend by id, as `users` does, so
+  // one forward cursor per vector finds each entry's row. Payments of
+  // consumers outside the support union are skipped. A consumer absent from
+  // a side's payments adds nothing to the row's base, which starts at +0.0
+  // and only accumulates, so the sum equals adding that side's 0 explicitly.
+  auto for_each_row = [&](const SparseWtpVector& v, auto&& fn) {
+    std::size_t idx = 0;
+    for (const WtpEntry& e : v.entries()) {
+      while (idx < users.size() && users[idx] < e.id) ++idx;
+      if (idx == users.size()) break;
+      if (users[idx] == e.id) fn(&rows[idx * stride], e.w);
     }
+  };
+  for (std::size_t j = 0; j < m; ++j) {
+    const double aj = alpha * sides[j].scale;
+    for_each_row(*sides[j].raw, [&](double* row, double w) {
+      row[j] = aj * w;
+      row[kBundle] += w;  // Raw total, rescaled below.
+    });
+    for_each_row(*sides[j].payments,
+                 [&](double* row, double pay) { row[kBase] += pay; });
   }
   for (std::size_t u = 0; u < users.size(); ++u) {
     double* row = &rows[u * stride];
     double sum = 0.0;
-    double base = 0.0;
-    for (std::size_t j = 0; j < m; ++j) {
-      sum += row[j];
-      base += sides[j].payments->ValueFor(users[u]);
-    }
+    for (std::size_t j = 0; j < m; ++j) sum += row[j];
     row[kSum] = sum;
     row[kBundle] = alpha * merged_scale * row[kBundle];
-    row[kBase] = base;
   }
 
   if (model_.is_step() && num_levels_ == 0) {
@@ -395,14 +428,12 @@ SparseWtpVector MixedPricer::BuildMergedPayments(const MergeSide& side1,
   const double alpha = model_.alpha();
   const double p1 = side1.price;
   const double p2 = side2.price;
-  std::vector<JointWtpEntry> joint;
-  JoinSupportsInto(*side1.raw, *side2.raw, &joint);
   std::vector<WtpEntry> entries;
-  for (const JointWtpEntry& u : joint) {
-    double aw1 = alpha * side1.scale * u.raw1;
-    double aw2 = alpha * side2.scale * u.raw2;
-    double awb = alpha * merged_scale * (u.raw1 + u.raw2);
-    double keep = side1.payments->ValueFor(u.user) + side2.payments->ValueFor(u.user);
+  ForEachJointConsumer(side1, side2, [&](std::int32_t user, double raw1,
+                                         double raw2, double keep) {
+    double aw1 = alpha * side1.scale * raw1;
+    double aw2 = alpha * side2.scale * raw2;
+    double awb = alpha * merged_scale * (raw1 + raw2);
     double pay;
     if (model_.is_step()) {
       double t = std::min(awb, std::min(p1 + aw2, p2 + aw1));
@@ -422,8 +453,8 @@ SparseWtpVector MixedPricer::BuildMergedPayments(const MergeSide& side1,
       }
       pay = prob * price + (1.0 - prob) * keep;
     }
-    if (pay > 0.0) entries.push_back(WtpEntry{u.user, pay});
-  }
+    if (pay > 0.0) entries.push_back(WtpEntry{user, pay});
+  });
   return SparseWtpVector(std::move(entries));
 }
 

@@ -74,9 +74,12 @@ struct MergeSide {
   // maintain per-offer columns (MatchingBundler when the dense-column gate
   // is on). When all three pointers are set on both sides, MergeGain stages
   // the joint audience by iterating the support-union bitset over the dense
-  // columns instead of sorted-merging the sparse vectors. `wtp_col` and
-  // `payments_col` are num-users-sized arrays, zero where the consumer is
-  // absent; `support` has a bit per consumer with positive raw WTP.
+  // columns. Otherwise it walks the sparse vectors in one forward merge: the
+  // two raw vectors side by side, with one cursor per payment vector. Both
+  // stagings yield the same values in the same order, so the result does not
+  // depend on which one ran. `wtp_col` and `payments_col` are
+  // num-users-sized arrays, zero where the consumer is absent; `support` has
+  // a bit per consumer with positive raw WTP.
   const double* wtp_col = nullptr;
   const double* payments_col = nullptr;
   const Bitset* support = nullptr;

@@ -19,15 +19,6 @@
 
 namespace bundlemine {
 
-/// One consumer's joint view across two merge sides (raw WTP sums; 0 when the
-/// consumer is absent from a side). Produced by the sorted-merge support join
-/// inside MixedPricer.
-struct JointWtpEntry {
-  std::int32_t user = 0;
-  double raw1 = 0.0;
-  double raw2 = 0.0;
-};
-
 /// Scratch buffers shared by the OfferPricer / MixedPricer kernels. Contents
 /// are unspecified between calls; every kernel fully (re)initializes the
 /// buffers it touches, so reusing one workspace across calls is always safe
@@ -58,8 +49,6 @@ struct PricingWorkspace {
   std::vector<double> suffix_base;
 
   // --- MixedPricer ---------------------------------------------------------
-  /// Sorted-merge join of two merge sides' supports.
-  std::vector<JointWtpEntry> joint;
   /// (adoption threshold, forgone base payment) pairs for exact-step gain.
   std::vector<std::pair<double, double>> threshold_base;
   /// Flattened per-consumer state for the multi-way kernel.
@@ -68,7 +57,9 @@ struct PricingWorkspace {
   std::vector<std::int32_t> users;
   /// SoA staging for the two-way mixed kernels: raw WTP columns of each side
   /// over the support union, forgone base payments, effective α·θ-scaled
-  /// columns, and adoption thresholds.
+  /// columns, and adoption thresholds. The sparse path fills the first three
+  /// in one forward merge over both sides' raw and payment vectors; the dense
+  /// path fills them from the sides' SoA columns.
   std::vector<double> soa_raw1;
   std::vector<double> soa_raw2;
   std::vector<double> soa_base;

@@ -209,11 +209,14 @@ TEST(SparseWtpVector, MergeAddsSharedUsers) {
   SparseWtpVector b({{1, 5.0}, {2, 3.0}});
   SparseWtpVector m = SparseWtpVector::Merge(a, b);
   ASSERT_EQ(m.nnz(), 3u);
-  EXPECT_DOUBLE_EQ(m.ValueFor(0), 1.0);
-  EXPECT_DOUBLE_EQ(m.ValueFor(1), 5.0);
-  EXPECT_DOUBLE_EQ(m.ValueFor(2), 5.0);
+  const std::vector<WtpEntry>& e = m.entries();
+  EXPECT_EQ(e[0].id, 0);
+  EXPECT_DOUBLE_EQ(e[0].w, 1.0);
+  EXPECT_EQ(e[1].id, 1);
+  EXPECT_DOUBLE_EQ(e[1].w, 5.0);
+  EXPECT_EQ(e[2].id, 2);
+  EXPECT_DOUBLE_EQ(e[2].w, 5.0);
   EXPECT_DOUBLE_EQ(m.Sum(), 11.0);
-  EXPECT_DOUBLE_EQ(m.ValueFor(99), 0.0);
 }
 
 TEST(SparseWtpVector, MergeWithEmpty) {

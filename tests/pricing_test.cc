@@ -1,10 +1,13 @@
 // Unit tests for the pricing layer: adoption model, price grid, single-offer
 // pricer (including the paper's Table 1 worked example), and mixed pricer.
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "data/wtp_matrix.h"
 #include "gtest/gtest.h"
+#include "mining/bitset.h"
 #include "pricing/adoption_model.h"
 #include "pricing/mixed_pricer.h"
 #include "pricing/offer_pricer.h"
@@ -362,6 +365,186 @@ TEST(MixedPricer, SigmoidCompositionsAgreeInStepLimit) {
   double g_step = step.MergeGain(a_step.Side(), b_step.Side(), 1.0 + kTheta).gain;
   EXPECT_NEAR(g_min, g_step, 0.15);
   EXPECT_NEAR(g_prod, g_step, 0.15);
+}
+
+// ---------------------------------------------------------------------------
+// Sparse staging vs the dense SoA view.
+// ---------------------------------------------------------------------------
+
+// One merge side held both sparsely and as the dense view the matching
+// bundler maintains: num-users-sized columns, zero where the consumer is
+// absent, and a support bit per consumer with positive raw WTP.
+struct TwoViewSide {
+  SparseWtpVector raw;
+  SparseWtpVector payments;
+  std::vector<double> wtp_col;
+  std::vector<double> payments_col;
+  Bitset support;
+  double scale = 1.0;
+  double price = 0.0;
+
+  MergeSide Sparse() const { return MergeSide{&raw, scale, price, &payments}; }
+  MergeSide Dense() const {
+    MergeSide s = Sparse();
+    s.wtp_col = wtp_col.data();
+    s.payments_col = payments_col.data();
+    s.support = &support;
+    return s;
+  }
+};
+
+enum class SupportShape { kGapped, kDisjoint, kOneEmpty };
+
+// Side `which` (0 or 1) of a random pair. Raw WTP is positive wherever
+// present. Payments cover a random part of the raw support (payments sparser
+// than raw) and, now and then, a consumer outside it, which both stagings
+// must ignore.
+TwoViewSide RandomSide(Rng* rng, int num_users, SupportShape shape, int which) {
+  const double density = rng->UniformDouble(0.05, 0.9);
+  std::vector<WtpEntry> raw;
+  std::vector<WtpEntry> pay;
+  for (int u = 0; u < num_users; ++u) {
+    bool present = rng->Bernoulli(density);
+    if (shape == SupportShape::kDisjoint) present = present && (u % 2 == which);
+    if (shape == SupportShape::kOneEmpty && which == 1) present = false;
+    if (present) {
+      const double w = rng->UniformDouble(0.5, 20.0);
+      raw.push_back(WtpEntry{u, w});
+      if (rng->Bernoulli(0.6)) pay.push_back(WtpEntry{u, rng->UniformDouble(0.1, w)});
+    } else if (rng->Bernoulli(0.05)) {
+      pay.push_back(WtpEntry{u, rng->UniformDouble(0.1, 5.0)});
+    }
+  }
+  TwoViewSide side;
+  side.wtp_col.assign(static_cast<std::size_t>(num_users), 0.0);
+  side.payments_col.assign(static_cast<std::size_t>(num_users), 0.0);
+  side.support = Bitset(static_cast<std::size_t>(num_users));
+  for (const WtpEntry& e : raw) {
+    side.wtp_col[static_cast<std::size_t>(e.id)] = e.w;
+    side.support.Set(static_cast<std::size_t>(e.id));
+  }
+  for (const WtpEntry& e : pay) {
+    side.payments_col[static_cast<std::size_t>(e.id)] = e.w;
+  }
+  side.raw = SparseWtpVector(std::move(raw));
+  side.payments = SparseWtpVector(std::move(pay));
+  side.scale = rng->Bernoulli(0.5) ? 1.0 : rng->UniformDouble(0.9, 1.1);
+  side.price = rng->UniformDouble(1.0, 20.0);
+  return side;
+}
+
+// BuildMergedPayments restated with binary-searched lookups per consumer of
+// the support union.
+SparseWtpVector ReferenceMergedPayments(const AdoptionModel& model,
+                                        MixedComposition composition,
+                                        const MergeSide& s1, const MergeSide& s2,
+                                        double merged_scale, double price) {
+  auto lookup = [](const SparseWtpVector& v, std::int32_t user) {
+    auto it = std::lower_bound(
+        v.entries().begin(), v.entries().end(), user,
+        [](const WtpEntry& e, std::int32_t u) { return e.id < u; });
+    return it != v.entries().end() && it->id == user ? it->w : 0.0;
+  };
+  std::vector<std::int32_t> users;
+  for (const WtpEntry& e : s1.raw->entries()) users.push_back(e.id);
+  for (const WtpEntry& e : s2.raw->entries()) users.push_back(e.id);
+  std::sort(users.begin(), users.end());
+  users.erase(std::unique(users.begin(), users.end()), users.end());
+  const double alpha = model.alpha();
+  std::vector<WtpEntry> out;
+  for (std::int32_t u : users) {
+    const double raw1 = lookup(*s1.raw, u);
+    const double raw2 = lookup(*s2.raw, u);
+    const double aw1 = alpha * s1.scale * raw1;
+    const double aw2 = alpha * s2.scale * raw2;
+    const double awb = alpha * merged_scale * (raw1 + raw2);
+    const double keep = lookup(*s1.payments, u) + lookup(*s2.payments, u);
+    double pay;
+    if (model.is_step()) {
+      const double t = std::min(awb, std::min(s1.price + aw2, s2.price + aw1));
+      pay = t >= price - 1e-9 ? price : keep;
+    } else {
+      const double afford = awb - price;
+      const double up1 = aw2 - (price - s1.price);
+      const double up2 = aw1 - (price - s2.price);
+      const double prob =
+          composition == MixedComposition::kMinSlack
+              ? model.ProbabilityFromSlack(std::min(afford, std::min(up1, up2)))
+              : model.ProbabilityFromSlack(afford) *
+                    model.ProbabilityFromSlack(up1) *
+                    model.ProbabilityFromSlack(up2);
+      pay = prob * price + (1.0 - prob) * keep;
+    }
+    if (pay > 0.0) out.push_back(WtpEntry{u, pay});
+  }
+  return SparseWtpVector(std::move(out));
+}
+
+struct PricerConfig {
+  const char* name;
+  AdoptionModel model;
+  int levels;
+  MixedComposition composition;
+};
+
+TEST(MixedPricer, SparseStagingMatchesDenseViewBitForBit) {
+  const PricerConfig configs[] = {
+      {"step-grid", AdoptionModel::Step(), 100, MixedComposition::kMinSlack},
+      {"step-exact", AdoptionModel::Step(), 0, MixedComposition::kMinSlack},
+      {"sigmoid-min-slack", AdoptionModel::Sigmoid(2.0, 1.1), 60,
+       MixedComposition::kMinSlack},
+      {"sigmoid-product", AdoptionModel::Sigmoid(0.7), 60,
+       MixedComposition::kProduct},
+  };
+  const SupportShape shapes[] = {SupportShape::kGapped, SupportShape::kDisjoint,
+                                 SupportShape::kOneEmpty};
+  Rng rng(20151);
+  PricingWorkspace ws;
+  int feasible = 0;
+  for (const PricerConfig& config : configs) {
+    MixedPricer pricer(config.model, config.levels, config.composition);
+    for (SupportShape shape : shapes) {
+      for (int trial = 0; trial < 40; ++trial) {
+        const int num_users = rng.UniformInt(1, 150);
+        const TwoViewSide a = RandomSide(&rng, num_users, shape, 0);
+        const TwoViewSide b = RandomSide(&rng, num_users, shape, 1);
+        const double merged_scale = rng.UniformDouble(0.9, 1.1);
+        SCOPED_TRACE(::testing::Message()
+                     << config.name << " shape=" << static_cast<int>(shape)
+                     << " trial=" << trial << " users=" << num_users);
+        // Both orders, so the empty side is checked in either position.
+        for (bool swap : {false, true}) {
+          const TwoViewSide& s1 = swap ? b : a;
+          const TwoViewSide& s2 = swap ? a : b;
+          const MergeGainResult sparse =
+              pricer.MergeGain(s1.Sparse(), s2.Sparse(), merged_scale, &ws);
+          const MergeGainResult dense =
+              pricer.MergeGain(s1.Dense(), s2.Dense(), merged_scale, &ws);
+          EXPECT_EQ(sparse.feasible, dense.feasible);
+          EXPECT_EQ(sparse.gain, dense.gain);
+          EXPECT_EQ(sparse.bundle_price, dense.bundle_price);
+          EXPECT_EQ(sparse.expected_adopters, dense.expected_adopters);
+          feasible += sparse.feasible ? 1 : 0;
+
+          const double price = sparse.feasible
+                                   ? sparse.bundle_price
+                                   : std::max(s1.price, s2.price) + 0.5;
+          const SparseWtpVector built = pricer.BuildMergedPayments(
+              s1.Sparse(), s2.Sparse(), merged_scale, price);
+          const SparseWtpVector expected = ReferenceMergedPayments(
+              config.model, config.composition, s1.Sparse(), s2.Sparse(),
+              merged_scale, price);
+          ASSERT_EQ(built.nnz(), expected.nnz());
+          for (std::size_t i = 0; i < built.nnz(); ++i) {
+            EXPECT_EQ(built.entries()[i].id, expected.entries()[i].id);
+            EXPECT_EQ(built.entries()[i].w, expected.entries()[i].w);
+          }
+        }
+      }
+    }
+  }
+  // The comparison must exercise real optima, not only infeasible merges.
+  EXPECT_GT(feasible, 100);
 }
 
 // Property sweep: on random instances the mixed gain is never negative and

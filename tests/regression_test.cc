@@ -1,12 +1,14 @@
 // Additional regression coverage: cross-checks of derived quantities against
 // brute-force recomputation, boundary tolerances, a wider oracle range for
-// the blossom matcher, and the golden sweep artifact (fixed-seed Tiny
-// θ-sweep compared field-by-field against tests/golden/).
+// the blossom matcher, and the golden sweep artifacts (a fixed-seed Tiny
+// θ-sweep and a Small mixed-pricing sweep, compared field-by-field against
+// tests/golden/).
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -208,33 +210,25 @@ TEST(RunnerRegression, TwoSizedRespectsCapEvenWhenProblemSaysOtherwise) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden sweep artifact.
+// Golden sweep artifacts.
 // ---------------------------------------------------------------------------
 
-// The checked-in artifact pins every field of a fixed-seed Tiny θ-sweep —
-// revenues, coverages, gains, histograms, and solve statistics of all seven
-// standard methods. Any solver change that shifts a number must consciously
-// regenerate it:
+// Each checked-in artifact pins every field of a fixed-seed sweep —
+// revenues, coverages, gains, histograms, and solve statistics. Any solver
+// change that shifts a number must consciously regenerate it:
 //
 //   BUNDLEMINE_REGEN_GOLDEN=1 ./build/regression_test
 //       --gtest_filter='GoldenSweep.*'
 //
-// (then review the diff in tests/golden/tiny_theta_sweep.json).
-TEST(GoldenSweep, TinyThetaSweepMatchesCheckedInArtifact) {
-  ScenarioSpec spec;
-  spec.name = "golden-tiny-theta";
-  spec.description = "fixed-seed tiny theta sweep pinned by regression_test";
-  spec.dataset.profile = "tiny";
-  spec.dataset.seed = 7;
-  spec.methods = StandardMethodKeys();
-  spec.axes.push_back({AxisKind::kTheta, {-0.05, 0.0, 0.05}});
-
+// (then review the diff under tests/golden/).
+void ExpectSweepMatchesGolden(const ScenarioSpec& spec,
+                              const std::string& golden_name) {
   SweepRunnerOptions options;
   options.threads = 2;  // The artifact is thread-invariant by construction.
   std::string actual = SweepArtifactJson(RunFullSweep(spec, options));
 
   const std::string golden_path =
-      std::string(BUNDLEMINE_SOURCE_DIR) + "/tests/golden/tiny_theta_sweep.json";
+      std::string(BUNDLEMINE_SOURCE_DIR) + "/tests/golden/" + golden_name;
   if (std::getenv("BUNDLEMINE_REGEN_GOLDEN") != nullptr) {
     std::ofstream out(golden_path, std::ios::trunc);
     ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
@@ -259,9 +253,33 @@ TEST(GoldenSweep, TinyThetaSweepMatchesCheckedInArtifact) {
   for (std::size_t i = 0;
        i < std::min(expected_lines.size(), actual_lines.size()); ++i) {
     EXPECT_EQ(expected_lines[i], actual_lines[i])
-        << "artifact line " << (i + 1) << " diverged from the golden file";
+        << "artifact line " << (i + 1) << " diverged from " << golden_name;
     if (expected_lines[i] != actual_lines[i]) break;  // First diff suffices.
   }
+}
+
+// All seven standard methods on the tiny profile.
+TEST(GoldenSweep, TinyThetaSweepMatchesCheckedInArtifact) {
+  ScenarioSpec spec;
+  spec.name = "golden-tiny-theta";
+  spec.description = "fixed-seed tiny theta sweep pinned by regression_test";
+  spec.dataset.profile = "tiny";
+  spec.dataset.seed = 7;
+  spec.methods = StandardMethodKeys();
+  spec.axes.push_back({AxisKind::kTheta, {-0.05, 0.0, 0.05}});
+  ExpectSweepMatchesGolden(spec, "tiny_theta_sweep.json");
+}
+
+// The sparse mixed-pricing paths at small scale: mixed greedy runs
+// multi-level merges whose sides carry nested payment vectors, and mixed
+// FreqItemset prices itemsets of more than two items.
+TEST(GoldenSweep, SmallMixedSweepMatchesCheckedInArtifact) {
+  std::string error;
+  std::optional<ScenarioSpec> spec = ParseScenarioSpec(
+      "scale=small;seed=7;methods=mixed-greedy,mixed-freq;axis:theta=0.05",
+      &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  ExpectSweepMatchesGolden(*spec, "small_mixed_sweep.json");
 }
 
 }  // namespace
