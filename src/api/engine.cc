@@ -40,116 +40,57 @@ Status ValidateShard(int shard_index, int shard_count) {
   return Status::Ok();
 }
 
+// The cache namespace of everything derived from market `id`.
+std::string MarketNamespace(const std::string& id) { return "market:" + id; }
+
 }  // namespace
 
 std::string DatasetCacheKey(const DatasetSpec& spec) { return DatasetKey(spec); }
 
-Engine::Engine(const Options& options) : options_(options) {}
-
-Engine::~Engine() = default;
+Engine::Engine(const Options& options)
+    : options_(options),
+      datasets_(options.dataset_cache_capacity),
+      wtps_(options.wtp_cache_capacity),
+      itemsets_(options.wtp_cache_capacity),
+      resolves_(options.resolve_cache_capacity) {}
 
 std::shared_ptr<const RatingsDataset> Engine::DatasetFor(
     const DatasetSpec& spec, bool* hit) {
-  const std::string key = DatasetCacheKey(spec);
-  // Generation runs under the lock: concurrent batch requests for the same
-  // key then materialize once instead of racing, and distinct keys are rare
-  // enough per batch that the serialization is cheap relative to a solve.
-  MutexLock lock(cache_mu_);
-  for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-    if (it->key == key) {
-      cache_.splice(cache_.begin(), cache_, it);  // Move to MRU position.
-      ++cache_hits_;
-      if (hit != nullptr) *hit = true;
-      return cache_.front().dataset;
-    }
-  }
-  ++cache_misses_;
-  if (hit != nullptr) *hit = false;
-  auto dataset =
-      std::make_shared<const RatingsDataset>(MaterializeDataset(spec));
-  if (options_.dataset_cache_capacity == 0) return dataset;
-  cache_.push_front(CacheEntry{key, dataset});
-  while (cache_.size() > options_.dataset_cache_capacity) cache_.pop_back();
-  return dataset;
+  return datasets_.GetOrCompute(
+      DatasetCacheKey(spec), "",
+      [&spec] {
+        return std::make_shared<const RatingsDataset>(MaterializeDataset(spec));
+      },
+      hit);
 }
 
-std::shared_ptr<const WtpMatrix> Engine::WtpFor(const DatasetSpec& spec,
+std::shared_ptr<const WtpMatrix> Engine::WtpFor(const std::string& ns,
+                                                const std::string& version,
                                                 const RatingsDataset& dataset,
                                                 double lambda) {
-  // λ joins the key because DatasetCacheKey deliberately excludes it: one
-  // dataset serves many λ points (lambda-axis sweeps), each with its own
-  // derived matrix. FormatDoubleShortest round-trips, so distinct λ never
-  // collide.
-  return WtpForKey(DatasetCacheKey(spec) + ";lambda=" + FormatDoubleShortest(lambda),
-                   dataset, lambda);
+  // FormatDoubleShortest round-trips, so distinct λ never collide.
+  return wtps_.GetOrCompute(
+      ns, version + "lambda=" + FormatDoubleShortest(lambda),
+      [&dataset, lambda] {
+        return std::make_shared<const WtpMatrix>(
+            WtpMatrix::FromRatings(dataset, lambda));
+      });
 }
 
-std::shared_ptr<const WtpMatrix> Engine::WtpForKey(const std::string& key,
-                                                   const RatingsDataset& dataset,
-                                                   double lambda) {
-  // Derivation runs under the lock, mirroring DatasetFor: concurrent
-  // requests for the same key derive once.
-  MutexLock lock(cache_mu_);
-  for (auto it = wtp_cache_.begin(); it != wtp_cache_.end(); ++it) {
-    if (it->key == key) {
-      wtp_cache_.splice(wtp_cache_.begin(), wtp_cache_, it);
-      ++wtp_cache_hits_;
-      return wtp_cache_.front().wtp;
-    }
-  }
-  ++wtp_cache_misses_;
-  auto wtp = std::make_shared<const WtpMatrix>(
-      WtpMatrix::FromRatings(dataset, lambda));
-  if (options_.wtp_cache_capacity == 0) return wtp;
-  wtp_cache_.push_front(WtpCacheEntry{key, wtp});
-  while (wtp_cache_.size() > options_.wtp_cache_capacity) {
-    wtp_cache_.pop_back();
-  }
-  return wtp;
-}
-
-Engine::CacheStats Engine::dataset_cache_stats() const {
-  MutexLock lock(cache_mu_);
-  return CacheStats{cache_hits_, cache_misses_, cache_.size()};
-}
-
-Engine::CacheStats Engine::wtp_cache_stats() const {
-  MutexLock lock(cache_mu_);
-  return CacheStats{wtp_cache_hits_, wtp_cache_misses_, wtp_cache_.size()};
-}
-
-Engine::CacheStats Engine::resolve_cache_stats() const {
-  MutexLock lock(resolve_mu_);
-  return CacheStats{resolve_hits_, resolve_misses_, resolve_cache_.size()};
-}
-
-void Engine::ClearDatasetCache() {
-  MutexLock lock(cache_mu_);
-  cache_.clear();
-  wtp_cache_.clear();
+ItemsetSource Engine::ItemsetsFor(std::string ns, std::string version) {
+  return [this, ns = std::move(ns), version = std::move(version)](
+             int support, MinerEngine miner, const ItemsetMiner& mine) {
+    const std::string key = StrFormat("%ssupport=%d;miner=%d", version.c_str(),
+                                      support, static_cast<int>(miner));
+    return itemsets_.GetOrCompute(ns, key, mine);
+  };
 }
 
 void Engine::EvictMarketCaches(const std::string& market_id) {
-  const std::string resolve_prefix = "market:" + market_id + ";";
-  const std::string wtp_prefix = "market:" + market_id + "@";
-  const auto has_prefix = [](const std::string& key,
-                             const std::string& prefix) {
-    return key.compare(0, prefix.size(), prefix) == 0;
-  };
-  {
-    MutexLock lock(resolve_mu_);
-    for (auto it = resolve_cache_.begin(); it != resolve_cache_.end();) {
-      it = has_prefix(it->key, resolve_prefix) ? resolve_cache_.erase(it)
-                                               : std::next(it);
-    }
-  }
-  {
-    MutexLock lock(cache_mu_);
-    for (auto it = wtp_cache_.begin(); it != wtp_cache_.end();) {
-      it = has_prefix(it->key, wtp_prefix) ? wtp_cache_.erase(it)
-                                           : std::next(it);
-    }
-  }
+  const std::string ns = MarketNamespace(market_id);
+  resolves_.DropNamespace(ns);
+  wtps_.DropNamespace(ns);
+  itemsets_.DropNamespace(ns);
 }
 
 Status ValidateMethodKey(const std::string& method) {
@@ -182,6 +123,7 @@ StatusOr<SolveResponse> Engine::Solve(const SolveRequest& request) {
   BundleConfigProblem problem;
   std::shared_ptr<const RatingsDataset> dataset_holder;
   std::shared_ptr<const WtpMatrix> wtp_holder;
+  ResolveHints hints;
   if (request.problem != nullptr) {
     if (request.problem->wtp == nullptr) {
       return Status::InvalidArgument("SolveRequest problem has no WTP matrix");
@@ -196,7 +138,9 @@ StatusOr<SolveResponse> Engine::Solve(const SolveRequest& request) {
       return Status::InvalidArgument("dataset lambda must be positive");
     }
     dataset_holder = DatasetFor(spec);
-    wtp_holder = WtpFor(spec, *dataset_holder, spec.lambda);
+    wtp_holder =
+        WtpFor(DatasetCacheKey(spec), "", *dataset_holder, spec.lambda);
+    hints.itemsets = ItemsetsFor(DatasetCacheKey(spec), "");
     problem.wtp = wtp_holder.get();
     problem.theta = request.theta;
     problem.max_bundle_size = request.max_bundle_size;
@@ -211,6 +155,7 @@ StatusOr<SolveResponse> Engine::Solve(const SolveRequest& request) {
   context_options.seed = request.options.seed;
   context_options.deadline_seconds = request.options.deadline_seconds;
   SolveContext context(context_options);
+  context.set_resolve_hints(&hints);
 
   WallTimer timer;
   SolveResponse response;
@@ -280,7 +225,18 @@ StatusOr<SweepResponse> Engine::Sweep(const SweepRequest& request) {
   WtpProvider wtp_provider = [this](const DatasetSpec& cell_dataset,
                                     const RatingsDataset& cell_data,
                                     double lambda) {
-    return WtpFor(cell_dataset, cell_data, lambda);
+    return WtpFor(DatasetCacheKey(cell_dataset), "", cell_data, lambda);
+  };
+  // Freq cells over one dataset mine once: each cell's hints name its
+  // dataset to the itemset cache.
+  std::vector<ResolveHints> hints(static_cast<std::size_t>(grid_cells));
+  for (const SweepCell& cell : cells) {
+    hints[static_cast<std::size_t>(cell.index)].itemsets = ItemsetsFor(
+        DatasetCacheKey(CellDatasetSpec(request.spec, cell)), "");
+  }
+  runner_options.context_hook = [&hints](int cell_index,
+                                         SolveContext& context) {
+    context.set_resolve_hints(&hints[static_cast<std::size_t>(cell_index)]);
   };
   response.result = RunSweepCells(request.spec, cells, *dataset,
                                   runner_options, provider, wtp_provider);
@@ -326,55 +282,50 @@ StatusOr<ResolveResponse> Engine::Resolve(const ResolveRequest& request) {
   // Deadline-limited solves are wall-clock-dependent; never cache them.
   const bool cacheable = request.options.deadline_seconds == 0.0 &&
                          options_.resolve_cache_capacity > 0;
-  const std::string key = "market:" + request.market->id() +
-                          ";spec=" + FormatScenarioSpec(request.spec);
+  const std::string market_ns = MarketNamespace(request.market->id());
+  const std::string spec_key = "spec=" + FormatScenarioSpec(request.spec);
 
-  // Pull the prior solver state out of the cache entry (or answer outright
+  // Pull the prior solver state out of the cache line (or answer outright
   // when the market hasn't moved). The solver cells are *moved* out so the
-  // solve below runs without resolve_mu_ held.
-  bool have_solver = false;
+  // solve below runs with no cache lock held.
   std::uint64_t solver_version = 0;
   std::vector<MatchingPairCache> solver_cells;
-  {
-    MutexLock lock(resolve_mu_);
-    for (auto it = resolve_cache_.begin(); it != resolve_cache_.end(); ++it) {
-      if (it->key != key) continue;
-      resolve_cache_.splice(resolve_cache_.begin(), resolve_cache_, it);
-      ResolveEntry& entry = resolve_cache_.front();
-      if (cacheable && entry.has_response &&
-          entry.response_version == snap.version) {
-        ++resolve_hits_;
-        ResolveResponse response = entry.response;
-        response.response_cache_hit = true;
-        return response;
-      }
-      have_solver = entry.has_solver;
-      solver_version = entry.solver_version;
-      solver_cells = std::move(entry.solver_cells);
-      entry.has_solver = false;
-      entry.solver_cells.clear();
-      break;
-    }
-    ++resolve_misses_;
+  ResolveResponse response;
+  if (resolves_.Visit(market_ns, spec_key, [&](ResolveEntry& entry) {
+        if (cacheable && entry.version == snap.version) {
+          response = entry.response;
+          return true;
+        }
+        solver_version = entry.version;
+        solver_cells.swap(entry.solver_cells);  // Leaves the line's empty.
+        return false;
+      })) {
+    response.response_cache_hit = true;
+    return response;
   }
 
   std::vector<SweepCell> cells = ExpandGrid(request.spec);
-  ResolveResponse response;
   response.grid_cells = static_cast<int>(cells.size());
   response.market_version = snap.version;
 
-  // Per-cell hints: the maintained transaction view always, the prior pair
-  // outcomes + dirty-item mask when a previous resolve of this key left
-  // them, and a fill sink when this solve's outcomes are worth keeping.
-  // Resolve always runs the full grid, so cell.index indexes `hints`.
+  // Per-cell hints: the maintained transaction view and the itemsets of
+  // this market version always (cached per version, so reused only while
+  // the data didn't move), the prior pair outcomes + dirty-item mask when a
+  // previous resolve of this key left them, and a fill sink when this
+  // solve's outcomes are worth keeping. Resolve always runs the full grid,
+  // so cell.index indexes `hints`.
+  const std::string version = "v" + std::to_string(snap.version) + ";";
   std::vector<char> dirty;
-  if (have_solver) dirty = request.market->ItemsTouchedSince(solver_version);
+  if (!solver_cells.empty()) {
+    dirty = request.market->ItemsTouchedSince(solver_version);
+  }
   std::vector<MatchingPairCache> fills(cells.size());
   std::vector<ResolveHints> hints(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     hints[i].transactions = snap.transactions.get();
+    hints[i].itemsets = ItemsetsFor(market_ns, version);
     if (cacheable) hints[i].fill = &fills[i];
-    if (have_solver && i < solver_cells.size()) {
+    if (i < solver_cells.size()) {
       hints[i].prior = &solver_cells[i];
       hints[i].dirty_items = &dirty;
     }
@@ -383,20 +334,16 @@ StatusOr<ResolveResponse> Engine::Resolve(const ResolveRequest& request) {
   SweepRunnerOptions runner_options;
   runner_options.threads = EffectiveThreads(request.options);
   runner_options.deadline_seconds = request.options.deadline_seconds;
-  runner_options.context_hook = [&hints](int cell_index, SolveContext& context) {
+  runner_options.context_hook = [&hints](int cell_index,
+                                         SolveContext& context) {
     context.set_resolve_hints(&hints[static_cast<std::size_t>(cell_index)]);
   };
   // The market snapshot is the dataset (dataset axes were rejected above, so
-  // every cell borrows the base); WTP matrices are keyed by market id +
-  // version so successive resolves at an unchanged λ reuse the derivation
-  // only when the data truly didn't move.
-  const std::string market_key =
-      "market:" + request.market->id() + "@v" + std::to_string(snap.version);
-  WtpProvider wtp_provider = [this, &market_key](const DatasetSpec&,
-                                                 const RatingsDataset& data,
-                                                 double lambda) {
-    return WtpForKey(market_key + ";lambda=" + FormatDoubleShortest(lambda),
-                     data, lambda);
+  // every cell borrows the base).
+  WtpProvider wtp_provider = [this, &market_ns, &version](
+                                 const DatasetSpec&, const RatingsDataset& data,
+                                 double lambda) {
+    return WtpFor(market_ns, version, data, lambda);
   };
   response.result = RunSweepCells(request.spec, cells, *snap.dataset,
                                   runner_options, nullptr, wtp_provider);
@@ -407,29 +354,11 @@ StatusOr<ResolveResponse> Engine::Resolve(const ResolveRequest& request) {
   }
 
   if (cacheable) {
-    MutexLock lock(resolve_mu_);
-    ResolveEntry* entry = nullptr;
-    for (auto it = resolve_cache_.begin(); it != resolve_cache_.end(); ++it) {
-      if (it->key == key) {
-        resolve_cache_.splice(resolve_cache_.begin(), resolve_cache_, it);
-        entry = &resolve_cache_.front();
-        break;
-      }
-    }
-    if (entry == nullptr) {
-      resolve_cache_.push_front(ResolveEntry{});
-      entry = &resolve_cache_.front();
-      entry->key = key;
-    }
-    entry->solver_version = snap.version;
-    entry->has_solver = true;
-    entry->solver_cells = std::move(fills);
-    entry->response_version = snap.version;
-    entry->has_response = true;
-    entry->response = response;
-    while (resolve_cache_.size() > options_.resolve_cache_capacity) {
-      resolve_cache_.pop_back();
-    }
+    resolves_.Upsert(market_ns, spec_key, [&](ResolveEntry& entry) {
+      entry.version = snap.version;
+      entry.solver_cells = std::move(fills);
+      entry.response = response;
+    });
   }
   return response;
 }

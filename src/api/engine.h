@@ -9,11 +9,15 @@
 //     spec text, unreadable files, and bad shard ranges all come back as
 //     typed `Status` errors whose messages list the valid alternatives.
 //     BM_CHECK remains for programming errors only.
-//   * Amortized data work. The Engine owns a keyed dataset cache:
-//     repeated sweeps/solves over the same (profile, seed, overrides)
-//     materialize the generated ratings dataset once. A second, λ-keyed
-//     cache holds the WTP matrices derived from those datasets, so
-//     repeated requests at the same (dataset, λ) skip FromRatings too.
+//   * Amortized data work. One cache class (util/lru_cache.h) serves
+//     every piece of data work a request repeats: generated datasets keyed
+//     by (profile, seed, overrides); WTP matrices keyed by (dataset, λ);
+//     maximal frequent itemsets keyed by (dataset, support count, miner),
+//     which depend on WTP positivity only, so the freq cells of every θ and
+//     λ share one mine; and the incremental-resolve lines. A miss computes
+//     outside the lock while concurrent askers of the same key wait, so one
+//     tenant's cold load never delays another tenant's hit. A market's
+//     derived entries live in its own namespace and leave with it.
 //     Sweep cells and batch requests fan out over the process-wide
 //     ThreadPool, which concurrent requests share without queueing.
 //   * Determinism. Solve/Sweep responses are bit-identical at any thread
@@ -26,14 +30,13 @@
 // wrappers are gone, and the registry-level SolveMethod dispatch
 // (core/bundler_registry.h) is an internal cell-solve primitive. The
 // bundlemined serving loop (serve/server.h) sits directly on top of this
-// facade — one Engine per server process, so the dataset cache is shared by
+// facade — one Engine per server process, so its caches are shared by
 // every connection.
 
 #ifndef BUNDLEMINE_API_ENGINE_H_
 #define BUNDLEMINE_API_ENGINE_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -48,9 +51,8 @@
 #include "data/wtp_matrix.h"
 #include "scenario/scenario_spec.h"
 #include "scenario/sweep_runner.h"
-#include "util/mutex.h"
+#include "util/lru_cache.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace bundlemine {
 
@@ -156,11 +158,12 @@ struct ResolveResponse {
 };
 
 /// The facade. Thread-safe: concurrent Solve/SolveBatch/Sweep/Resolve calls
-/// contend only on the cache mutexes. Each call runs its parallel work as
-/// its own job on the process-wide ThreadPool — the caller works on it and
-/// idle workers join up to the request's width — so overlapping requests
-/// share the cores instead of queueing. One Engine per process (or per
-/// tenant) is the intended shape — that is what makes the cache pay off.
+/// contend only on the cache locks, never held while computing. Each call
+/// runs its parallel work as its own job on the process-wide ThreadPool — the
+/// caller works on it and idle workers join up to the request's width — so
+/// overlapping requests share the cores instead of queueing. One Engine per
+/// process (or per tenant) is the intended shape — that is what makes the
+/// caches pay off.
 class Engine {
  public:
   struct Options {
@@ -172,7 +175,8 @@ class Engine {
     std::size_t dataset_cache_capacity = 8;
     /// Derived WTP matrices kept alive, keyed by (dataset key, λ) — a
     /// dataset with three λ axis points occupies three entries. LRU
-    /// eviction; 0 disables caching.
+    /// eviction; 0 disables caching. Also bounds the mined-itemset cache,
+    /// whose entries are keyed by (dataset key, support count, miner).
     std::size_t wtp_cache_capacity = 8;
     /// Incremental-resolve cache entries kept alive, keyed by
     /// (market id, spec). Each entry holds the prior solve's per-cell
@@ -183,7 +187,6 @@ class Engine {
 
   Engine() : Engine(Options{}) {}
   explicit Engine(const Options& options);
-  ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -225,96 +228,60 @@ class Engine {
   /// never cached (their results are wall-clock-dependent).
   StatusOr<ResolveResponse> Resolve(const ResolveRequest& request);
 
-  /// Cache observability (tests, ops endpoints) — shared by the dataset
-  /// cache and the derived-WTP cache.
-  struct CacheStats {
-    std::int64_t hits = 0;
-    std::int64_t misses = 0;
-    std::size_t entries = 0;
-  };
-  CacheStats dataset_cache_stats() const EXCLUDES(cache_mu_);
-  CacheStats wtp_cache_stats() const EXCLUDES(cache_mu_);
-  CacheStats resolve_cache_stats() const EXCLUDES(resolve_mu_);
-  /// Drops both caches (datasets and derived WTP matrices); counters keep
-  /// accumulating.
-  void ClearDatasetCache() EXCLUDES(cache_mu_);
-
-  /// Purges every cache entry derived from market `market_id` — its
-  /// resolve lines ("market:<id>;spec=...") and its versioned WTP
-  /// derivations ("market:<id>@v..."). The market-registry eviction hook:
-  /// once a market leaves residency, a later market under the same id must
-  /// start from a cold cache, never inherit the old market's work.
-  void EvictMarketCaches(const std::string& market_id)
-      EXCLUDES(cache_mu_, resolve_mu_);
+  /// Cache observability (tests, ops endpoints). A request that waited for
+  /// another's in-flight computation counts as a hit.
+  using CacheStats = bundlemine::CacheStats;
+  CacheStats dataset_cache_stats() const { return datasets_.stats(); }
+  CacheStats wtp_cache_stats() const { return wtps_.stats(); }
+  CacheStats itemset_cache_stats() const { return itemsets_.stats(); }
+  CacheStats resolve_cache_stats() const { return resolves_.stats(); }
+  /// Purges every cache entry derived from market `market_id` — its resolve
+  /// lines, versioned WTP derivations and mined itemsets, all filed under
+  /// the namespace "market:<id>". The market-registry eviction hook: once a
+  /// market leaves residency, a later market under the same id must start
+  /// from a cold cache, never inherit the old market's work.
+  void EvictMarketCaches(const std::string& market_id);
 
   const Options& options() const { return options_; }
 
  private:
-  struct CacheEntry {
-    std::string key;
-    std::shared_ptr<const RatingsDataset> dataset;
-  };
-  struct WtpCacheEntry {
-    std::string key;
-    std::shared_ptr<const WtpMatrix> wtp;
-  };
   /// One (market id, spec) resolve line: the per-cell round-1 pair-outcome
-  /// caches recorded at `solver_version`, plus the last full response for
-  /// same-version short-circuits.
+  /// caches and the full response of the solve at market `version`.
   struct ResolveEntry {
-    std::string key;
-    std::uint64_t solver_version = 0;
-    bool has_solver = false;
-    std::vector<MatchingPairCache> solver_cells;  ///< Indexed by cell index.
-    std::uint64_t response_version = 0;
-    bool has_response = false;
+    std::uint64_t version = 0;
+    /// Indexed by cell index; empty while a resolve has them moved out.
+    std::vector<MatchingPairCache> solver_cells;
     ResolveResponse response;
   };
 
   // Returns the cached dataset for `spec`, materializing (and inserting) on
   // a miss. `hit` (optional) reports whether the cache served it.
   std::shared_ptr<const RatingsDataset> DatasetFor(const DatasetSpec& spec,
-                                                   bool* hit = nullptr)
-      EXCLUDES(cache_mu_);
+                                                   bool* hit = nullptr);
 
-  // Returns the WTP matrix derived from `dataset` (the materialization of
-  // `spec`) at `lambda`, served through the λ-keyed WTP cache. FromRatings
-  // is a pure function of (dataset, λ), so cached entries are bit-identical
-  // to fresh derivations.
-  std::shared_ptr<const WtpMatrix> WtpFor(const DatasetSpec& spec,
+  // Returns the WTP matrix derived from `dataset` at `lambda`, cached under
+  // (ns, version + λ): `ns` is the dataset's DatasetKey (which excludes λ),
+  // or a market namespace with `version` naming the market version.
+  // FromRatings is a pure function of (dataset, λ), so cached entries are
+  // bit-identical to fresh derivations.
+  std::shared_ptr<const WtpMatrix> WtpFor(const std::string& ns,
+                                          const std::string& version,
                                           const RatingsDataset& dataset,
-                                          double lambda) EXCLUDES(cache_mu_);
+                                          double lambda);
 
-  // WtpFor with an explicit cache key (which must already encode λ and the
-  // dataset identity — Resolve keys on the market id + version instead of a
-  // DatasetSpec).
-  std::shared_ptr<const WtpMatrix> WtpForKey(const std::string& key,
-                                             const RatingsDataset& dataset,
-                                             double lambda) EXCLUDES(cache_mu_);
+  // The ResolveHints::itemsets source for cells whose transactions are
+  // named by (ns, version), as for WtpFor.
+  ItemsetSource ItemsetsFor(std::string ns, std::string version);
 
   int EffectiveThreads(const RequestOptions& options) const {
     return options.threads > 0 ? options.threads : options_.threads;
   }
 
   Options options_;
-
-  mutable Mutex cache_mu_;
-  /// Front = most recently used.
-  std::list<CacheEntry> cache_ GUARDED_BY(cache_mu_);
-  std::int64_t cache_hits_ GUARDED_BY(cache_mu_) = 0;
-  std::int64_t cache_misses_ GUARDED_BY(cache_mu_) = 0;
-  /// Front = most recently used.
-  std::list<WtpCacheEntry> wtp_cache_ GUARDED_BY(cache_mu_);
-  std::int64_t wtp_cache_hits_ GUARDED_BY(cache_mu_) = 0;
-  std::int64_t wtp_cache_misses_ GUARDED_BY(cache_mu_) = 0;
-
-  /// Guards the resolve cache only; never held while solving (Resolve moves
-  /// an entry's solver state out, solves unlocked, and stores it back).
-  mutable Mutex resolve_mu_;
-  /// Front = most recently used.
-  std::list<ResolveEntry> resolve_cache_ GUARDED_BY(resolve_mu_);
-  std::int64_t resolve_hits_ GUARDED_BY(resolve_mu_) = 0;
-  std::int64_t resolve_misses_ GUARDED_BY(resolve_mu_) = 0;
+  LruCache<std::shared_ptr<const RatingsDataset>> datasets_;
+  LruCache<std::shared_ptr<const WtpMatrix>> wtps_;
+  LruCache<MaximalItemsets> itemsets_;
+  LruCache<ResolveEntry> resolves_;
 };
 
 /// Stable cache key of a dataset reference: profile, seed, generator

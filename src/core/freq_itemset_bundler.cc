@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "core/resolve_hints.h"
 #include "mining/fp_growth.h"
@@ -55,19 +56,7 @@ BundleSolution FreqItemsetBundler::Solve(const BundleConfigProblem& problem,
         mixed.BuildStandalonePayments(item_raw.back(), 1.0, item_priced.back().price));
   }
 
-  // Mine maximal frequent itemsets as candidate bundles. An incremental
-  // resolve supplies the market's maintained transaction view instead of a
-  // per-cell rebuild: WTP positivity (w = (stars/5)·λ·price, stars > 0,
-  // price > 0) is λ-independent, so the one maintained index matches
-  // FromWtp(wtp) bit-for-bit in every λ cell.
-  const ResolveHints* hints = context.resolve_hints();
-  const TransactionDb* hinted = hints != nullptr ? hints->transactions : nullptr;
-  const bool use_hint = hinted != nullptr &&
-                        hinted->num_items() == wtp.num_items() &&
-                        hinted->num_transactions() == wtp.num_users();
-  TransactionDb local_db;
-  if (!use_hint) local_db = TransactionDb::FromWtp(wtp);
-  const TransactionDb& db = use_hint ? *hinted : local_db;
+  // Mine maximal frequent itemsets as candidate bundles.
   MinerLimits limits;
   // The paper's 0.1% threshold is ⌈0.001 · 4449⌉ = 5 transactions on the
   // Amazon data; the absolute floor keeps that effective count on smaller
@@ -78,29 +67,57 @@ BundleSolution FreqItemsetBundler::Solve(const BundleConfigProblem& problem,
   // Mine *uncapped* maximal itemsets (the paper's protocol) and filter
   // oversize candidates below. Pushing the size cap into the miner is both
   // unsound for PEP and combinatorially explosive: the k-capped maximal
-  // family is vastly larger than the unrestricted one.
+  // family is vastly larger than the unrestricted one. Uncapped, the result
+  // depends on the transactions, support and miner only — not on θ, k or
+  // the strategy — which is what lets freq cells share one mine.
   limits.max_itemset_size = 0;
   // Deadline coverage inside the mine itself: freq cells used to run the
   // miners unbounded and only honour the deadline between candidate
   // evaluations. A stopped mine yields fewer candidates; the configuration
   // assembled below stays structurally valid.
   limits.should_stop = DeadlineStopCondition(context);
-  std::vector<FrequentItemset> itemsets;
-  switch (problem.freq_miner) {
-    case MinerEngine::kMafia:
-      itemsets = MineMaximalFrequent(db, limits);
-      break;
-    case MinerEngine::kApriori:
-      itemsets = FilterMaximal(MineFrequentApriori(db, limits));
-      break;
-    case MinerEngine::kFpGrowth:
-      itemsets = FilterMaximal(MineFrequentFpGrowth(db, limits));
-      break;
-  }
+  const ResolveHints* hints = context.resolve_hints();
+  const ItemsetMiner mine = [&] {
+    // An incremental resolve supplies the market's maintained transaction
+    // view instead of a per-cell rebuild: WTP positivity (w = (stars/5)·λ·
+    // price, stars > 0, price > 0) is λ-independent, so the one maintained
+    // index matches FromWtp(wtp) bit-for-bit in every λ cell.
+    const TransactionDb* hinted =
+        hints != nullptr ? hints->transactions : nullptr;
+    const bool use_hint = hinted != nullptr &&
+                          hinted->num_items() == wtp.num_items() &&
+                          hinted->num_transactions() == wtp.num_users();
+    TransactionDb local_db;
+    if (!use_hint) local_db = TransactionDb::FromWtp(wtp);
+    const TransactionDb& db = use_hint ? *hinted : local_db;
+    std::vector<FrequentItemset> mined;
+    switch (problem.freq_miner) {
+      case MinerEngine::kMafia:
+        mined = MineMaximalFrequent(db, limits);
+        break;
+      case MinerEngine::kApriori:
+        mined = FilterMaximal(MineFrequentApriori(db, limits));
+        break;
+      case MinerEngine::kFpGrowth:
+        mined = FilterMaximal(MineFrequentFpGrowth(db, limits));
+        break;
+    }
+    return std::make_shared<const std::vector<FrequentItemset>>(
+        std::move(mined));
+  };
+  // A deadline-bound solve mines on its own: it must not wait out another
+  // request's unbounded mine of the same transactions, and its own mine,
+  // possibly stopped early, must not be shared.
+  const bool shared = hints != nullptr && hints->itemsets &&
+                      context.options().deadline_seconds <= 0.0;
+  const MaximalItemsets itemsets =
+      shared
+          ? hints->itemsets(limits.min_support_count, problem.freq_miner, mine)
+          : mine();
 
   // Evaluate candidates (size ≥ 2 only; size-1 candidates are the items).
   std::vector<Candidate> candidates;
-  for (const FrequentItemset& fi : itemsets) {
+  for (const FrequentItemset& fi : *itemsets) {
     if (context.DeadlineExceeded()) {
       // Stop evaluating further itemsets; the configuration is assembled
       // from what has been priced so far (plus all singletons) and stays
@@ -199,8 +216,8 @@ BundleSolution FreqItemsetBundler::Solve(const BundleConfigProblem& problem,
     pb.revenue = item_priced[static_cast<std::size_t>(i)].revenue;
     pb.expected_buyers = item_priced[static_cast<std::size_t>(i)].expected_buyers;
     pb.is_component_offer = inside_selected;  // Mixed: retained in X′.
-    solution.offers.push_back(std::move(pb));
     total += pb.revenue;
+    solution.offers.push_back(std::move(pb));
   }
   solution.total_revenue = total;
   solution.solve_seconds = timer.Seconds();

@@ -178,6 +178,13 @@ BundleSolution GreedyBundler::Solve(const BundleConfigProblem& problem,
         merged.payments = mixed.BuildMergedPayments(
             sa, sb, BundleScale(merged.items.size(), problem.theta), top.price);
       }
+      // Absorbed offers are only emitted from here on (items, price,
+      // increment, buyers), and evaluate() never sees a dead offer, so their
+      // audience and payment vectors can go.
+      a.raw = SparseWtpVector();
+      a.payments = SparseWtpVector();
+      b.raw = SparseWtpVector();
+      b.payments = SparseWtpVector();
       a.alive = false;
       b.alive = false;
     }

@@ -1,8 +1,10 @@
-// Incremental re-solve hints threaded through SolveContext.
+// Re-solve hints threaded through SolveContext.
 //
 // The streaming market's re-solve path (Engine::Resolve) hands each cell's
 // solver a ResolveHints: the previous solve's round-1 pair outcomes, a mask
 // of items touched since that solve, and the maintained transaction view.
+// Every Engine solve, sweep cell and resolve cell also gets the shared
+// frequent-itemset source, so cells over the same transactions mine once.
 // Solvers that understand the hints skip work on clean data; solvers that
 // ignore them stay correct, just slower. The invariant every hint user must
 // preserve: the solve result is byte-identical to a batch solve of the same
@@ -14,14 +16,31 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
+#include "core/problem.h"
 #include "util/check.h"
 
 namespace bundlemine {
 
-class TransactionDb;  // mining/transactions.h
+class TransactionDb;      // mining/transactions.h
+struct FrequentItemset;  // mining/transactions.h
+
+/// Maximal frequent itemsets, shared read-only by every cell that mines the
+/// same transactions at the same support and miner.
+using MaximalItemsets = std::shared_ptr<const std::vector<FrequentItemset>>;
+
+/// Runs one complete (never deadline-stopped) mine.
+using ItemsetMiner = std::function<MaximalItemsets()>;
+
+/// Source of a cell's maximal itemsets at (min_support_count, miner): shared
+/// ones when another cell over the same transactions mined them, otherwise
+/// `mine`'s result.
+using ItemsetSource = std::function<MaximalItemsets(
+    int min_support_count, MinerEngine miner, const ItemsetMiner& mine)>;
 
 /// Cache of round-1 MatchingBundler pair evaluations, keyed by the item-id
 /// pair (round-1 offers are singletons, so offer index == item id and the
@@ -94,8 +113,8 @@ class MatchingPairCache {
   std::uint64_t last_key_ = 0;
 };
 
-/// Borrowed hint set for one cell's solve. All pointers are optional and
-/// owned by the caller (Engine::Resolve), which outlives the solve.
+/// Borrowed hint set for one cell's solve. Every member is optional and
+/// owned by the caller (the Engine), which outlives the solve.
 struct ResolveHints {
   /// Round-1 pair outcomes from the previous solve of this cell, valid for
   /// pairs of items untouched since. Null on the first solve.
@@ -110,6 +129,9 @@ struct ResolveHints {
   /// TransactionDb::FromWtp of the cell's WTP matrix — positivity is
   /// λ-independent), sparing the frequent-itemset bundler its rebuild.
   const TransactionDb* transactions = nullptr;
+  /// Where the frequent-itemset bundler gets its candidates. Null, or a
+  /// deadline-bound solve: it mines locally.
+  ItemsetSource itemsets;
 };
 
 }  // namespace bundlemine

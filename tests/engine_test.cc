@@ -1,14 +1,17 @@
 // Engine facade tests: Status-based error paths (no aborts on user input),
-// dataset-cache hit behavior, batch determinism, concurrent requests on the
-// shared pool, shard partition identity, and the golden tiny-theta artifact
-// flowing byte-identically through the new API — including the artifact
-// reader's write→read→write round trip.
+// dataset/WTP/itemset-cache hit behavior, batch determinism, concurrent
+// requests on the shared pool, shard partition identity, and the golden
+// tiny-theta artifact flowing byte-identically through the new API —
+// including the artifact reader's write→read→write round trip.
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -19,6 +22,7 @@
 #include "api/engine.h"
 #include "core/bundler_registry.h"
 #include "core/resolve_hints.h"
+#include "core/solve_context.h"
 #include "data/generator.h"
 #include "data/wtp_matrix.h"
 #include "gtest/gtest.h"
@@ -270,6 +274,123 @@ TEST(WtpCache, SecondSweepHitsAndSolveSharesEntries) {
   EXPECT_EQ(stats.hits, 2);
   EXPECT_EQ(stats.misses, 2);
   EXPECT_EQ(stats.entries, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Mined-itemset cache: freq cells over one dataset share one mine.
+// ---------------------------------------------------------------------------
+
+StatusOr<SweepResponse> FreqSweep(Engine& engine, const std::string& methods) {
+  SweepRequest request;
+  request.spec = *ResolveScenarioSpec("scale=tiny;seed=7;methods=" + methods +
+                                      ";axis:theta=0,0.05,0.1");
+  request.options.threads = 4;
+  return engine.Sweep(request);
+}
+
+TEST(ItemsetCache, FreqSweepMinesOnceAndMatchesUncachedBytes) {
+  Engine engine;
+  StatusOr<SweepResponse> cached = FreqSweep(engine, "pure-freq,mixed-freq");
+  ASSERT_TRUE(cached.ok()) << cached.status().message();
+  Engine::CacheStats stats = engine.itemset_cache_stats();
+  EXPECT_EQ(stats.misses, 1);  // One mine for all six cells.
+  EXPECT_EQ(stats.hits, 5);
+  EXPECT_EQ(stats.entries, 1u);
+
+  // wtp_cache_capacity also bounds the itemset cache: at 0 every cell mines.
+  Engine::Options options;
+  options.wtp_cache_capacity = 0;
+  Engine uncached(options);
+  StatusOr<SweepResponse> fresh = FreqSweep(uncached, "pure-freq,mixed-freq");
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(uncached.itemset_cache_stats().misses, 6);
+  EXPECT_EQ(uncached.itemset_cache_stats().entries, 0u);
+  EXPECT_EQ(SweepArtifactJson(cached->result),
+            SweepArtifactJson(fresh->result));
+
+  // A repeated sweep mines nothing.
+  ASSERT_TRUE(FreqSweep(engine, "pure-freq,mixed-freq").ok());
+  stats = engine.itemset_cache_stats();
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.hits, 11);
+}
+
+TEST(ItemsetCache, SweepSmallGridOnAColdEngineMinesOnce) {
+  // perfbench's sweep-small grid (its methods × θ), on tiny data.
+  Engine engine;
+  ASSERT_TRUE(
+      FreqSweep(engine, "components,mixed-greedy,pure-freq,mixed-freq").ok());
+  Engine::CacheStats stats = engine.itemset_cache_stats();
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.hits, 5);
+
+  // A solve from the same dataset reference borrows the sweep's mine.
+  SolveRequest solve;
+  solve.method = "pure-freq";
+  solve.dataset = TinyThetaSpec().dataset;
+  solve.theta = 0.2;
+  ASSERT_TRUE(engine.Solve(solve).ok());
+  EXPECT_EQ(engine.itemset_cache_stats().hits, 6);
+}
+
+TEST(ItemsetCache, DeadlineStoppedMineIsNotCached) {
+  Engine engine;
+  SolveRequest solve;
+  solve.method = "pure-freq";
+  solve.dataset = TinyThetaSpec().dataset;
+  solve.options.deadline_seconds = 1e-9;
+  StatusOr<SolveResponse> stopped = engine.Solve(solve);
+  ASSERT_TRUE(stopped.ok());
+  EXPECT_TRUE(stopped->stats.deadline_hit);
+  // A deadline-bound solve mines on its own and shares nothing.
+  EXPECT_EQ(engine.itemset_cache_stats().misses, 0);
+  EXPECT_EQ(engine.itemset_cache_stats().entries, 0u);
+
+  // The next solve mines in full, and only that mine is shared.
+  solve.options.deadline_seconds = 0.0;
+  StatusOr<SolveResponse> full = engine.Solve(solve);
+  ASSERT_TRUE(full.ok());
+  EXPECT_FALSE(full->stats.deadline_hit);
+  EXPECT_EQ(engine.itemset_cache_stats().misses, 1);
+  EXPECT_EQ(engine.itemset_cache_stats().entries, 1u);
+  StatusOr<SolveResponse> again = engine.Solve(solve);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(engine.itemset_cache_stats().hits, 1);
+  EXPECT_EQ(again->solution.total_revenue, full->solution.total_revenue);
+}
+
+TEST(ItemsetCache, DeadlineSolveNeverWaitsOnAnInFlightMine) {
+  // Another request's unbounded mine of the same transactions is in flight:
+  // the shared source holds every asker until the test releases it. A
+  // deadline-bound freq solve must not ask, so it returns on its own.
+  RatingsDataset dataset = GenerateAmazonLike(TinyProfile(7));
+  WtpMatrix wtp = WtpMatrix::FromRatings(dataset, 1.25);
+  BundleConfigProblem problem;
+  problem.wtp = &wtp;
+  problem.theta = 0.05;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> asked{false};
+  ResolveHints hints;
+  hints.itemsets = [&](int, MinerEngine, const ItemsetMiner& mine) {
+    asked = true;
+    released.wait();
+    return mine();
+  };
+  SolveContext::Options options;
+  options.deadline_seconds = 600.0;  // Bounded, but never reached.
+  SolveContext context(options);
+  context.set_resolve_hints(&hints);
+  std::future<BundleSolution> solving = std::async(std::launch::async, [&] {
+    return SolveMethod("pure-freq", problem, context);
+  });
+  const bool returned =
+      solving.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  release.set_value();
+  EXPECT_TRUE(returned);
+  EXPECT_FALSE(asked.load());
+  EXPECT_EQ(solving.get().total_revenue,
+            SolveMethod("pure-freq", problem).total_revenue);
 }
 
 TEST(DatasetCache, KeyCoversSeedAndOverridesButNotLambda) {

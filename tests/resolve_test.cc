@@ -238,6 +238,49 @@ TEST(ResolveTest, DeltaEmptyingAnItemsAudienceMatchesBatch) {
   EXPECT_LT(incremental->pairs_evaluated, batch_pairs);
 }
 
+TEST(ResolveTest, ReloadedMarketNeverReusesEvictedItemsets) {
+  const ScenarioSpec spec =
+      Spec("scale=tiny;seed=7;methods=pure-freq,mixed-freq;axis:theta=0,0.05");
+  Engine engine;
+  auto old_data = engine.Dataset(TinyDataset());
+  DatasetSpec other = TinyDataset();
+  other.seed = 8;
+  auto new_data = engine.Dataset(other);
+  ASSERT_TRUE(old_data.ok());
+  ASSERT_TRUE(new_data.ok());
+
+  std::uint64_t old_version = 0;
+  {
+    MarketStream market("m");
+    ASSERT_TRUE(market.Load(**old_data).ok());
+    old_version = market.version();
+    ResolveRequest request;
+    request.market = &market;
+    request.spec = spec;
+    ASSERT_TRUE(engine.Resolve(request).ok());
+    // Every freq cell of this market version shares one mine, across specs.
+    request.spec = Spec("scale=tiny;seed=7;methods=pure-freq;axis:theta=0.1");
+    ASSERT_TRUE(engine.Resolve(request).ok());
+    EXPECT_EQ(engine.itemset_cache_stats().misses, 1);
+    EXPECT_EQ(engine.itemset_cache_stats().hits, 4);
+  }
+  engine.EvictMarketCaches("m");
+  EXPECT_EQ(engine.itemset_cache_stats().entries, 0u);
+
+  // Same id, same version number, different data: it must mine afresh.
+  MarketStream reloaded("m");
+  ASSERT_TRUE(reloaded.Load(**new_data).ok());
+  ASSERT_EQ(reloaded.version(), old_version);
+  ResolveRequest request;
+  request.market = &reloaded;
+  request.spec = spec;
+  auto response = engine.Resolve(request);
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(engine.itemset_cache_stats().misses, 2);
+  EXPECT_EQ(SweepArtifactJson(response->result),
+            BatchRebuild(**new_data, spec, 1).first);
+}
+
 TEST(ResolveTest, ErrorPaths) {
   Engine engine;
   MarketStream market("stream");

@@ -1,9 +1,12 @@
 // Unit tests for util: strings, CSV, flags, RNG, timers, table printing,
-// JSON parsing, Status, and the shared thread pool.
+// JSON parsing, Status, the shared thread pool, and the LRU cache.
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <future>
+#include <latch>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -14,6 +17,7 @@
 #include "util/csv.h"
 #include "util/flags.h"
 #include "util/json.h"
+#include "util/lru_cache.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/strings.h"
@@ -376,6 +380,159 @@ TEST(ThreadPool, ExceptionReachesTheCallerOnceTheJobDrains) {
                  std::runtime_error);
   }
   EXPECT_TRUE(RunCheckedJob(1000, 4, false));  // The pool still serves jobs.
+}
+
+TEST(LruCache, ConcurrentAskersOfOneKeyComputeOnce) {
+  constexpr int kAskers = 8;
+  LruCache<int> cache(4);
+  std::latch arrived(kAskers);
+  std::atomic<int> computes{0};
+  std::vector<int> values(kAskers, 0);
+  std::vector<std::thread> askers;
+  for (int t = 0; t < kAskers; ++t) {
+    askers.emplace_back([&, t] {
+      arrived.count_down();
+      values[static_cast<std::size_t>(t)] =
+          cache.GetOrCompute("ns", "key", [&] {
+            // Every asker is in flight before the leader lands.
+            arrived.wait();
+            ++computes;
+            return 42;
+          });
+    });
+  }
+  for (std::thread& asker : askers) asker.join();
+  EXPECT_EQ(computes.load(), 1);
+  for (int value : values) EXPECT_EQ(value, 42);
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.hits, kAskers - 1);  // Waiters count as hits.
+  EXPECT_EQ(stats.entries, 1u);
+}
+
+TEST(LruCache, ColdComputeNeverBlocksAnotherKey) {
+  LruCache<int> cache(4);
+  bool hit = false;
+  cache.GetOrCompute("ns", "warm", [] { return 1; }, &hit);
+  EXPECT_FALSE(hit);
+
+  // Key "cold" computes until released; meanwhile a hit on "warm" and a
+  // miss on a third key both complete. Holding the lock through a compute
+  // would deadlock here rather than merely slow down.
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::thread cold([&] {
+    cache.GetOrCompute("ns", "cold", [&] {
+      started.set_value();
+      released.wait();
+      return 2;
+    });
+  });
+  started.get_future().wait();
+  EXPECT_EQ(cache.GetOrCompute("ns", "warm", [] { return -1; }, &hit), 1);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(cache.GetOrCompute("other", "key", [] { return 3; }, &hit), 3);
+  EXPECT_FALSE(hit);
+  release.set_value();
+  cold.join();
+  EXPECT_EQ(cache.GetOrCompute("ns", "cold", [] { return -1; }, &hit), 2);
+  EXPECT_TRUE(hit);
+}
+
+TEST(LruCache, ThrowingLeaderReleasesWaitersAndCachesNothing) {
+  LruCache<int> cache(4);
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::thread leader([&] {
+    EXPECT_THROW(cache.GetOrCompute("ns", "key",
+                                    [&]() -> int {
+                                      started.set_value();
+                                      released.wait();
+                                      throw std::runtime_error("boom");
+                                    }),
+                 std::runtime_error);
+  });
+  started.get_future().wait();
+  // The waiter either waits on the failing flight and retries, or arrives
+  // after it; both ways it must compute the value itself.
+  std::thread waiter([&] {
+    EXPECT_EQ(cache.GetOrCompute("ns", "key", [] { return 7; }), 7);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  release.set_value();
+  leader.join();
+  waiter.join();
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2);
+  EXPECT_EQ(stats.hits, 0);
+  EXPECT_EQ(stats.entries, 1u);
+}
+
+TEST(LruCache, CapacityZeroDisablesCaching) {
+  LruCache<int> cache(0);
+  int computes = 0;
+  for (int i = 0; i < 3; ++i) {
+    cache.GetOrCompute("ns", "key", [&] { return ++computes; });
+  }
+  EXPECT_EQ(computes, 3);
+  cache.Upsert("ns", "key", [](int& value) { value = 5; });
+  EXPECT_FALSE(cache.Visit("ns", "key", [](int&) { return true; }));
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 4);
+  EXPECT_EQ(stats.hits, 0);
+  EXPECT_EQ(stats.entries, 0u);
+}
+
+TEST(LruCache, EvictsLeastRecentlyUsedAndUpdatesInPlace) {
+  LruCache<int> cache(2);
+  cache.Upsert("ns", "a", [](int& value) { value = 1; });
+  cache.Upsert("ns", "b", [](int& value) { value = 2; });
+  EXPECT_TRUE(cache.Visit("ns", "a", [](int& value) { return value == 1; }));
+  cache.Upsert("ns", "c", [](int& value) { value = 3; });  // Evicts "b".
+  EXPECT_FALSE(cache.Visit("ns", "b", [](int&) { return true; }));
+  cache.Upsert("ns", "a", [](int& value) { value += 10; });
+  EXPECT_TRUE(cache.Visit("ns", "a", [](int& value) { return value == 11; }));
+  EXPECT_EQ(cache.stats().entries, 2u);
+}
+
+TEST(LruCache, NamespaceDropRemovesOnlyThatNamespace) {
+  LruCache<int> cache(8);
+  for (const char* ns : {"market:a", "market:ab"}) {
+    for (const char* key : {"v1", "v2"}) {
+      cache.GetOrCompute(ns, key, [] { return 1; });
+    }
+  }
+  cache.DropNamespace("market:a");
+  EXPECT_EQ(cache.stats().entries, 2u);
+  bool hit = false;
+  cache.GetOrCompute("market:ab", "v1", [] { return 2; }, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(cache.GetOrCompute("market:a", "v1", [] { return 2; }, &hit),
+            2);
+  EXPECT_FALSE(hit);
+
+  // A compute in flight across the drop keeps its value out of the cache.
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::thread stale([&] {
+    EXPECT_EQ(cache.GetOrCompute("market:a", "v3",
+                                 [&] {
+                                   started.set_value();
+                                   released.wait();
+                                   return 3;
+                                 }),
+              3);
+  });
+  started.get_future().wait();
+  cache.DropNamespace("market:a");
+  release.set_value();
+  stale.join();
+  EXPECT_EQ(cache.GetOrCompute("market:a", "v3", [] { return 4; }, &hit),
+            4);
+  EXPECT_FALSE(hit);
 }
 
 }  // namespace
