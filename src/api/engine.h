@@ -219,9 +219,10 @@ class Engine {
 
   /// Solves `request.spec` against a snapshot of `request.market`,
   /// incrementally: when the same (market, spec) pair was resolved before,
-  /// only work touching items changed since is redone — untouched round-1
-  /// matching pairs come from the cached outcomes and the market's
-  /// maintained transaction index replaces the per-cell rebuild. If the
+  /// only work touching items changed since is redone — in every matching
+  /// round, a pair of offers built the same way from untouched items takes
+  /// its cached outcome, and the market's maintained transaction index
+  /// replaces the per-cell rebuild. If the
   /// market version is unchanged, the previous response is returned outright
   /// (response_cache_hit). Results are byte-identical to a batch Sweep over
   /// an equal dataset at any thread count. Deadline-limited resolves are
@@ -245,8 +246,9 @@ class Engine {
   const Options& options() const { return options_; }
 
  private:
-  /// One (market id, spec) resolve line: the per-cell round-1 pair-outcome
-  /// caches and the full response of the solve at market `version`.
+  /// One (market id, spec) resolve line: the per-cell pair-outcome caches
+  /// (every round, keyed by merge tree) and the full response of the solve
+  /// at market `version`.
   struct ResolveEntry {
     std::uint64_t version = 0;
     /// Indexed by cell index; empty while a resolve has them moved out.

@@ -45,6 +45,9 @@ struct Offer {
   bool is_new = true;       // Formed in the previous round.
   int child1 = -1;
   int child2 = -1;
+  // The node of the prior solve's merge tree this offer equals (same
+  // children, same order, untouched items), or -1.
+  int prior_node = -1;
 };
 
 // A candidate merge with its evaluated outcome.
@@ -62,6 +65,10 @@ struct SolveState {
   OfferPricer pricer;
   MixedPricer mixed;
   std::vector<Offer> offers;
+  // Incremental re-solve: the previous solve's outcomes (null: none usable)
+  // and the sink for this solve's (null: not cached).
+  const MatchingPairCache* prior = nullptr;
+  MatchingPairCache* fill = nullptr;
   int num_users = 0;
   // Dense mode: per-offer SoA columns feed the SIMD pricing kernels from
   // contiguous memory instead of sorted merges over sparse entries.
@@ -73,6 +80,12 @@ struct SolveState {
         mixed(p.adoption, p.price_levels, p.mixed_composition) {}
 
   double Scale(int size) const { return BundleScale(size, problem->theta); }
+
+  // Pure bundling's merge gain. A cached pair recomputes its gain with this
+  // same expression, so it stays bit-identical to a fresh evaluation.
+  static double PureGain(const Offer& a, const Offer& b, double revenue) {
+    return revenue - a.standalone - b.standalone;
+  }
 
   // Rebuilds an offer's support bitset (and, in dense mode, its WTP and
   // payment columns) from its sparse vectors.
@@ -111,7 +124,7 @@ struct SolveState {
           dense ? PriceMergedPairDense(a.col.data(), a.support, b.col.data(),
                                        b.support, merged_scale, pricer, ws)
                 : PriceMergedPair(a.raw, b.raw, merged_scale, pricer, ws);
-      double gain = priced.revenue - a.standalone - b.standalone;
+      double gain = PureGain(a, b, priced.revenue);
       if (gain <= kGainEpsilon) return false;
       edge->gain = gain;
       edge->price = priced.price;
@@ -138,6 +151,25 @@ struct SolveState {
     return true;
   }
 
+  // The cached form of a positive-gain edge: pure keeps the merged revenue,
+  // mixed keeps the gain (its merged revenue is always 0).
+  MatchingPairCache::Outcome ToOutcome(const CandidateEdge& e) const {
+    const bool pure = problem->strategy == BundlingStrategy::kPure;
+    return {true, pure ? e.revenue : e.gain, e.price, e.buyers};
+  }
+
+  // Rebuilds the edge of offers (ai, bi) from their cached gain outcome.
+  CandidateEdge FromOutcome(int ai, int bi,
+                            const MatchingPairCache::Outcome& out) const {
+    CandidateEdge e{ai, bi, out.value, out.price, 0.0, out.buyers};
+    if (problem->strategy == BundlingStrategy::kPure) {
+      e.revenue = out.value;
+      e.gain = PureGain(offers[static_cast<std::size_t>(ai)],
+                        offers[static_cast<std::size_t>(bi)], out.value);
+    }
+    return e;
+  }
+
   double TotalRevenue() const {
     double total = 0.0;
     for (const Offer& o : offers) {
@@ -161,6 +193,13 @@ struct SolveState {
     merged.raw = SparseWtpVector::Merge(a.raw, b.raw);
     merged.child1 = edge.a;
     merged.child2 = edge.b;
+    if (prior != nullptr) {
+      merged.prior_node = prior->FindInner(a.prior_node, b.prior_node);
+    }
+    if (fill != nullptr) {
+      BM_CHECK_EQ(fill->AddInner(edge.a, edge.b),
+                  static_cast<int>(offers.size()));
+    }
     if (problem->strategy == BundlingStrategy::kPure) {
       merged.price = edge.price;
       merged.standalone = edge.revenue;
@@ -262,11 +301,34 @@ BundleSolution MatchingBundler::Solve(const BundleConfigProblem& problem,
   st.dense = problem.soa_columns && all_positive &&
              dense_bytes <= kDenseBudgetBytes;
 
+  // Incremental re-solve hints. Each offer carries the prior solve's merge-
+  // tree node it equals: a singleton maps to its leaf unless its item is
+  // dirty, a merge to the prior node with the same children in the same
+  // order. EvaluatePair is a pure function of the two offers plus cell-fixed
+  // configuration (scale, pricer, strategy), so the prior outcome of two
+  // mapped offers is exact in any round. User additions/removals only add
+  // or drop zero-WTP entries for untouched items, which never change the
+  // priced scalars.
+  const ResolveHints* hints = context.resolve_hints();
+  if (hints != nullptr && hints->prior != nullptr &&
+      hints->dirty_items != nullptr &&
+      hints->dirty_items->size() == static_cast<std::size_t>(wtp.num_items())) {
+    st.prior = hints->prior;
+  }
+  if (hints != nullptr && hints->fill != nullptr) {
+    st.fill = hints->fill;
+    st.fill->Begin(wtp.num_items(), hints->prior);
+  }
+
   // Initialize singleton offers (= Components pricing).
   st.offers.reserve(static_cast<std::size_t>(wtp.num_items()) * 2);
   for (ItemId i = 0; i < wtp.num_items(); ++i) {
     Offer o;
     o.items = Bundle::Of(i);
+    if (st.prior != nullptr &&
+        !(*hints->dirty_items)[static_cast<std::size_t>(i)]) {
+      o.prior_node = st.prior->FindLeaf(i);
+    }
     o.raw = wtp.ItemVector(i);
     PricedOffer priced = st.pricer.PriceOffer(o.raw, 1.0, &context.workspace());
     o.price = priced.price;
@@ -280,21 +342,6 @@ BundleSolution MatchingBundler::Solve(const BundleConfigProblem& problem,
     st.RefreshDenseViews(&o);
     st.offers.push_back(std::move(o));
   }
-
-  // Incremental re-solve hints. Round-1 reuse is sound because singleton
-  // offer index == item id and EvaluatePair is a pure function of the two
-  // offers' WTP columns plus cell-fixed configuration (scale, pricer,
-  // strategy): a prior outcome for a pair of untouched items is exact. User
-  // additions/removals only add or drop zero-WTP entries for untouched
-  // items, which never change the priced scalars.
-  const ResolveHints* hints = context.resolve_hints();
-  const bool reuse_enabled =
-      hints != nullptr && hints->prior != nullptr &&
-      hints->dirty_items != nullptr &&
-      hints->dirty_items->size() == static_cast<std::size_t>(wtp.num_items());
-  const MatchingPairCache* prior = reuse_enabled ? hints->prior : nullptr;
-  const std::vector<char>* dirty = reuse_enabled ? hints->dirty_items : nullptr;
-  MatchingPairCache* fill = hints != nullptr ? hints->fill : nullptr;
 
   int iteration = 0;
   BundleSolution trace_holder;
@@ -321,26 +368,21 @@ BundleSolution MatchingBundler::Solve(const BundleConfigProblem& problem,
     has_gain.assign(pairs.size(), 0);
     reused.assign(pairs.size(), 0);
     std::int64_t reused_count = 0;
-    if (iteration == 1 && reuse_enabled) {
+    if (st.prior != nullptr) {
       for (std::size_t idx = 0; idx < pairs.size(); ++idx) {
-        const int a = pairs[idx].first;
-        const int b = pairs[idx].second;
-        if ((*dirty)[static_cast<std::size_t>(a)] ||
-            (*dirty)[static_cast<std::size_t>(b)]) {
-          continue;
-        }
-        const std::optional<MatchingPairCache::Outcome> out = prior->Find(a, b);
+        const auto [a, b] = pairs[idx];
+        const int na = st.offers[static_cast<std::size_t>(a)].prior_node;
+        const int nb = st.offers[static_cast<std::size_t>(b)].prior_node;
+        if (na < 0 || nb < 0) continue;
+        const std::optional<MatchingPairCache::Outcome> out =
+            st.prior->Find(na, nb);
         if (!out) continue;
         reused[idx] = 1;
         ++reused_count;
-        has_gain[idx] = out->has_gain ? 1 : 0;
-        CandidateEdge& e = results[idx];
-        e.a = a;
-        e.b = b;
-        e.gain = out->gain;
-        e.price = out->price;
-        e.revenue = out->revenue;
-        e.buyers = out->buyers;
+        if (out->has_gain) {
+          has_gain[idx] = 1;
+          results[idx] = st.FromOutcome(a, b, *out);
+        }
       }
     }
     auto evaluate = [&](std::size_t idx, int slot) {
@@ -354,19 +396,13 @@ BundleSolution MatchingBundler::Solve(const BundleConfigProblem& problem,
     context.stats().pairs_evaluated +=
         static_cast<std::int64_t>(pairs.size()) - reused_count;
     context.stats().pairs_reused += reused_count;
-    if (iteration == 1 && fill != nullptr) {
-      // Record every round-1 outcome (gain or not) for the next resolve;
-      // keys are item-id pairs, valid across solves.
+    if (st.fill != nullptr) {
+      // Record every outcome (gain or not) for the next resolve, keyed by
+      // this solve's node ids, which are its offer indices.
       for (std::size_t idx = 0; idx < pairs.size(); ++idx) {
-        MatchingPairCache::Outcome out;
-        out.has_gain = has_gain[idx] != 0;
-        if (out.has_gain) {
-          out.gain = results[idx].gain;
-          out.price = results[idx].price;
-          out.revenue = results[idx].revenue;
-          out.buyers = results[idx].buyers;
-        }
-        fill->Record(pairs[idx].first, pairs[idx].second, out);
+        st.fill->Record(pairs[idx].first, pairs[idx].second,
+                        has_gain[idx] ? st.ToOutcome(results[idx])
+                                      : MatchingPairCache::Outcome{});
       }
     }
     for (std::size_t idx = 0; idx < pairs.size(); ++idx) {
@@ -477,6 +513,7 @@ BundleSolution MatchingBundler::Solve(const BundleConfigProblem& problem,
                                                timer.Seconds(), st.AliveCount()});
   }
 
+  if (st.fill != nullptr) st.fill->Finish();
   BundleSolution solution = BuildSolution(st, method_name);
   solution.trace = std::move(trace_holder.trace);
   if (solution.trace.empty() ||

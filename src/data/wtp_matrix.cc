@@ -164,19 +164,29 @@ SparseWtpVector WtpMatrix::ItemVector(ItemId item) const {
 }
 
 std::vector<std::pair<ItemId, ItemId>> WtpMatrix::CoInterestedPairs() const {
+  // Per item i: every partner j > i of a consumer with positive WTP for
+  // both, found through i's consumers' rows. stamp[j] == i marks j as seen
+  // for this i, so each pair is listed once without a global sort.
   std::vector<std::pair<ItemId, ItemId>> pairs;
-  for (UserId u = 0; u < num_users_; ++u) {
-    auto row = UserItems(u);
-    for (std::size_t a = 0; a < row.size(); ++a) {
-      if (row[a].w <= 0.0) continue;
-      for (std::size_t b = a + 1; b < row.size(); ++b) {
-        if (row[b].w <= 0.0) continue;
-        pairs.emplace_back(row[a].id, row[b].id);
+  std::vector<ItemId> stamp(static_cast<std::size_t>(num_items_), -1);
+  std::vector<ItemId> partners;
+  for (ItemId i = 0; i < num_items_; ++i) {
+    partners.clear();
+    for (const WtpEntry& user : ItemUsers(i)) {
+      if (user.w <= 0.0) continue;
+      std::span<const WtpEntry> row = UserItems(user.id);
+      // Rows are sorted by item id: walk down from the top until j <= i.
+      for (auto it = row.rbegin(); it != row.rend() && it->id > i; ++it) {
+        if (it->w <= 0.0 || stamp[static_cast<std::size_t>(it->id)] == i) {
+          continue;
+        }
+        stamp[static_cast<std::size_t>(it->id)] = i;
+        partners.push_back(it->id);
       }
     }
+    std::sort(partners.begin(), partners.end());
+    for (ItemId j : partners) pairs.emplace_back(i, j);
   }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
   return pairs;
 }
 

@@ -647,27 +647,82 @@ TEST(ConcurrentEngine, TenantResolvesBesideAWideSweepMatchSerialCalls) {
 }
 
 TEST(MatchingPairCache, FindsGainAndNoGainPairsAndMissesTheRest) {
+  // A recorded solve over 5 items. Round 1 prices leaf pairs and merges
+  // (1, 2) into node 5; round 2 prices pairs with node 5 and merges (5, 0)
+  // into node 6. Rows arrive out of key order; Finish sorts them.
+  using Outcome = MatchingPairCache::Outcome;
   MatchingPairCache cache;
-  const MatchingPairCache::Outcome gain{true, 1.5, 9.0, 18.0, 2.0};
-  cache.Record(0, 3, MatchingPairCache::Outcome{});
+  cache.Begin(5, nullptr);
+  const Outcome gain{true, 1.5, 9.0, 2.0};
+  const Outcome later_gain{true, 4.0, 11.0, 3.0};
+  cache.Record(1, 4, Outcome{});
+  cache.Record(0, 3, Outcome{});
   cache.Record(1, 2, gain);
-  cache.Record(1, 4, MatchingPairCache::Outcome{});
-  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.AddInner(1, 2), 5);
+  cache.Record(3, 5, later_gain);
+  cache.Record(0, 5, Outcome{});
+  // Without stale-edge pruning, round 2 prices an unchanged pair again.
+  cache.Record(0, 3, Outcome{});
+  EXPECT_EQ(cache.AddInner(5, 0), 6);
+  cache.Finish();
+  EXPECT_EQ(cache.size(), 5u);
 
-  std::optional<MatchingPairCache::Outcome> priced = cache.Find(1, 2);
+  std::optional<Outcome> priced = cache.Find(1, 2);
   ASSERT_TRUE(priced.has_value());
   EXPECT_TRUE(priced->has_gain);
-  EXPECT_EQ(priced->gain, 1.5);
+  EXPECT_EQ(priced->value, 1.5);
   EXPECT_EQ(priced->price, 9.0);
-  EXPECT_EQ(priced->revenue, 18.0);
   EXPECT_EQ(priced->buyers, 2.0);
+  std::optional<Outcome> later = cache.Find(3, 5);
+  ASSERT_TRUE(later.has_value());
+  EXPECT_TRUE(later->has_gain);
+  EXPECT_EQ(later->value, 4.0);
 
-  std::optional<MatchingPairCache::Outcome> no_gain = cache.Find(0, 3);
-  ASSERT_TRUE(no_gain.has_value());
-  EXPECT_FALSE(no_gain->has_gain);
+  for (auto [a, b] : {std::pair{0, 3}, std::pair{1, 4}, std::pair{0, 5}}) {
+    std::optional<Outcome> no_gain = cache.Find(a, b);
+    ASSERT_TRUE(no_gain.has_value()) << a << "," << b;
+    EXPECT_FALSE(no_gain->has_gain);
+  }
 
+  // Missing, and swapped order: keys are ordered pairs.
   EXPECT_FALSE(cache.Find(0, 4).has_value());
   EXPECT_FALSE(cache.Find(2, 1).has_value());
+  EXPECT_FALSE(cache.Find(5, 3).has_value());
+}
+
+TEST(MatchingPairCache, MapsOffersToMergeTreeNodesOfCleanItems) {
+  MatchingPairCache cache;
+  cache.Begin(5, nullptr);
+  EXPECT_EQ(cache.AddInner(1, 2), 5);
+  EXPECT_EQ(cache.AddInner(5, 0), 6);
+  cache.Finish();
+
+  EXPECT_EQ(cache.FindLeaf(0), 0);
+  EXPECT_EQ(cache.FindLeaf(4), 4);
+  EXPECT_EQ(cache.FindLeaf(5), -1);
+  EXPECT_EQ(cache.FindLeaf(-1), -1);
+
+  // Children are ordered: the swapped merge is a different offer.
+  EXPECT_EQ(cache.FindInner(1, 2), 5);
+  EXPECT_EQ(cache.FindInner(2, 1), -1);
+  EXPECT_NE(cache.FindInner(1, 2), cache.FindInner(2, 1));
+  EXPECT_EQ(cache.FindInner(5, 0), 6);
+  EXPECT_EQ(cache.FindInner(0, 5), -1);
+
+  // Children that were never merged, or never existed, miss.
+  EXPECT_EQ(cache.FindInner(0, 1), -1);
+  EXPECT_EQ(cache.FindInner(6, 3), -1);
+  EXPECT_EQ(cache.FindInner(7, 1), -1);
+
+  // A later solve rebuilding the same tree from clean items finds the root;
+  // with item 2 dirty (leaf -1), every ancestor of it misses.
+  auto root_with_leaf2 = [&](int leaf2) {
+    const int node = cache.FindInner(cache.FindLeaf(1), leaf2);
+    return cache.FindInner(node, cache.FindLeaf(0));
+  };
+  EXPECT_EQ(root_with_leaf2(cache.FindLeaf(2)), 6);
+  EXPECT_EQ(cache.FindInner(cache.FindLeaf(1), -1), -1);
+  EXPECT_EQ(root_with_leaf2(-1), -1);
 }
 
 // ---------------------------------------------------------------------------

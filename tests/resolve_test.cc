@@ -11,8 +11,9 @@
 //   * Edge cases: deltas that empty an item's audience, error paths
 //     (unloaded market, dataset axes in the spec).
 //
-// Specs here use matching methods on purpose: the round-1 pair-outcome
-// cache lives in MatchingBundler, so only matching cells can report reuse.
+// Specs here use matching methods on purpose: the pair-outcome cache (keyed
+// by merge-tree node, valid in every round) lives in MatchingBundler, so
+// only matching cells can report reuse.
 
 #include <cstdint>
 #include <memory>
@@ -23,11 +24,13 @@
 
 #include "api/engine.h"
 #include "data/ratings.h"
+#include "data/wtp_matrix.h"
 #include "gtest/gtest.h"
 #include "market/market_delta.h"
 #include "market/market_stream.h"
 #include "scenario/artifact_writer.h"
 #include "scenario/scenario_spec.h"
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace bundlemine {
@@ -167,6 +170,137 @@ TEST(ResolveTest, ThreadCountDoesNotChangeIncrementalBytes) {
     bytes[i++] = SweepArtifactJson(response->result);
   }
   EXPECT_EQ(bytes[0], bytes[1]);
+}
+
+constexpr char kMatchingSpecText[] =
+    "scale=tiny;seed=7;methods=pure-matching,mixed-matching;"
+    "axis:theta=0,0.05";
+constexpr int kMatchingCells = 4;
+
+TEST(ResolveTest, OneItemDeltaReusesPairsBeyondRoundOne) {
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads == 1 ? "serial" : "threaded");
+    Engine::Options options;
+    options.threads = threads;
+    Engine engine(options);
+    auto dataset = engine.Dataset(TinyDataset());
+    ASSERT_TRUE(dataset.ok());
+    MarketStream market("stream");
+    ASSERT_TRUE(market.Load(**dataset).ok());
+    ResolveRequest request;
+    request.market = &market;
+    request.spec = Spec(kMatchingSpecText);
+    ASSERT_TRUE(engine.Resolve(request).ok());
+
+    constexpr int kDirtyItem = 3;
+    ASSERT_TRUE(market
+                    .Apply({Delta(MarketDeltaOp::kScalePrice, -1, kDirtyItem,
+                                  0.0, 2.0)})
+                    .ok());
+    auto incremental = engine.Resolve(request);
+    ASSERT_TRUE(incremental.ok());
+    RatingsDataset final_state = *market.TakeSnapshot().dataset;
+    auto [batch_bytes, batch_pairs] =
+        BatchRebuild(final_state, Spec(kMatchingSpecText), threads);
+    EXPECT_EQ(SweepArtifactJson(incremental->result), batch_bytes);
+    EXPECT_EQ(incremental->pairs_evaluated + incremental->pairs_reused,
+              batch_pairs);
+
+    // Round 1 of every matching cell prices the co-interested item pairs
+    // (positivity is λ-independent), so reuse confined to round 1 could
+    // answer at most those not touching the dirty item. Anything beyond is
+    // later-round reuse.
+    const auto round1 =
+        WtpMatrix::FromRatings(final_state, 1.0).CoInterestedPairs();
+    std::int64_t clean_round1 = 0;
+    for (const auto& [i, j] : round1) {
+      if (i != kDirtyItem && j != kDirtyItem) ++clean_round1;
+    }
+    EXPECT_GT(incremental->pairs_reused, kMatchingCells * clean_round1);
+  }
+}
+
+TEST(ResolveTest, StaleEdgesRepricedEveryRoundMatchBatch) {
+  // Without stale-edge pruning a solve prices unchanged pairs again in every
+  // round; the cache keeps one outcome per pair and stays exact.
+  const std::string spec_text =
+      std::string(kMatchingSpecText) + ";axis:prune-stale-edges=0";
+  Engine engine;
+  auto dataset = engine.Dataset(TinyDataset());
+  ASSERT_TRUE(dataset.ok());
+  MarketStream market("stream");
+  ASSERT_TRUE(market.Load(**dataset).ok());
+  ResolveRequest request;
+  request.market = &market;
+  request.spec = Spec(spec_text);
+  ASSERT_TRUE(engine.Resolve(request).ok());
+  ASSERT_TRUE(market.Apply(SmallDeltaBatch(**dataset)).ok());
+  auto incremental = engine.Resolve(request);
+  ASSERT_TRUE(incremental.ok());
+  auto [batch_bytes, batch_pairs] =
+      BatchRebuild(*market.TakeSnapshot().dataset, Spec(spec_text), 1);
+  EXPECT_EQ(SweepArtifactJson(incremental->result), batch_bytes);
+  EXPECT_EQ(incremental->pairs_evaluated + incremental->pairs_reused,
+            batch_pairs);
+  EXPECT_GT(incremental->pairs_reused, 0);
+}
+
+TEST(ResolveTest, RandomDeltaStreamMatchesBatchAfterEveryResolve) {
+  Engine engine;
+  auto dataset = engine.Dataset(TinyDataset());
+  ASSERT_TRUE(dataset.ok());
+  MarketStream market("stream");
+  ASSERT_TRUE(market.Load(**dataset).ok());
+  ResolveRequest request;
+  request.market = &market;
+  request.spec = Spec(kMatchingSpecText);
+  ASSERT_TRUE(engine.Resolve(request).ok());
+
+  Rng rng(2024);
+  const int num_items = (*dataset)->num_items();
+  std::int64_t reused = 0;
+  for (int step = 0; step < 20; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    RatingsDataset current = *market.TakeSnapshot().dataset;
+    const Rating& r = current.ratings()[static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<int>(current.ratings().size()) - 1))];
+    MarketDelta delta;
+    switch (step % 5) {
+      case 0: {
+        delta = Delta(MarketDeltaOp::kAddUser);
+        for (int item = rng.UniformInt(0, 9); item < num_items;
+             item += rng.UniformInt(5, 30)) {
+          delta.ratings.push_back(
+              {item, static_cast<double>(rng.UniformInt(1, 5))});
+        }
+        break;
+      }
+      case 1:
+        delta = Delta(MarketDeltaOp::kRemoveUser,
+                      rng.Bernoulli(0.5) ? -1 : r.user);
+        break;
+      case 2:
+        delta = Delta(MarketDeltaOp::kRemoveRating, r.user, r.item);
+        break;
+      case 3:
+        delta = Delta(MarketDeltaOp::kSetPrice, -1,
+                      rng.UniformInt(0, num_items - 1), 0.0,
+                      rng.UniformDouble(1.0, 20.0));
+        break;
+      default:
+        delta = Delta(MarketDeltaOp::kUpdateRating, r.user, r.item,
+                      static_cast<double>(rng.UniformInt(1, 5)));
+        break;
+    }
+    ASSERT_TRUE(market.Apply({delta}).ok());
+    auto incremental = engine.Resolve(request);
+    ASSERT_TRUE(incremental.ok());
+    reused += incremental->pairs_reused;
+    RatingsDataset final_state = *market.TakeSnapshot().dataset;
+    EXPECT_EQ(SweepArtifactJson(incremental->result),
+              BatchRebuild(final_state, Spec(kMatchingSpecText), 1).first);
+  }
+  EXPECT_GT(reused, 0);
 }
 
 TEST(ResolveTest, UnchangedMarketIsAResponseCacheHit) {
