@@ -231,13 +231,17 @@ void BM_BitmapSupport(benchmark::State& state) {
 }
 BENCHMARK(BM_BitmapSupport)->Arg(1024)->Arg(65536);
 
+// Args: vertices, edge density in percent. 1500 vertices at 17% is the
+// medium round-1 graph's shape, dense enough that the matcher solves on its
+// sparse core and certifies the rest; the small sparse graphs never form one.
 void BM_BlossomMatching(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
+  double density = static_cast<double>(state.range(1)) / 100.0;
   Rng rng(8);
   std::vector<std::tuple<int, int, double>> edges;
   for (int u = 0; u < n; ++u) {
     for (int v = u + 1; v < n; ++v) {
-      if (rng.UniformDouble() < 0.1) {
+      if (rng.UniformDouble() < density) {
         edges.emplace_back(u, v, rng.UniformDouble(0.1, 10.0));
       }
     }
@@ -247,8 +251,14 @@ void BM_BlossomMatching(benchmark::State& state) {
     for (const auto& [u, v, w] : edges) matcher.AddEdge(u, v, w);
     benchmark::DoNotOptimize(matcher.Solve().total_weight);
   }
+  state.counters["edges"] = static_cast<double>(edges.size());
 }
-BENCHMARK(BM_BlossomMatching)->Arg(32)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BlossomMatching)
+    ->Args({32, 10})
+    ->Args({128, 10})
+    ->Args({256, 10})
+    ->Args({1500, 17})
+    ->Unit(benchmark::kMillisecond);
 
 // --- SIMD pricing-kernel pairs ---------------------------------------------
 // Each kernel is measured twice over identical 4096-element inputs: through

@@ -17,6 +17,11 @@ namespace {
 // are bounded by the largest weight) never leaves int64.
 constexpr std::int64_t kMaxScaledWeight = std::int64_t{1} << 59;
 
+// Sparse-core shape (see the header): each vertex's kCoreDegree heaviest
+// edges, unless that is more than 1/kCoreShare of all edges.
+constexpr int kCoreDegree = 8;
+constexpr std::size_t kCoreShare = 8;
+
 // Top-level blossom labels. A vertex inside a blossom carries its own label
 // only where Van Rantwijk's algorithm tracks it (the T-vertex entry point).
 constexpr int kFree = 0;
@@ -73,9 +78,9 @@ class BlossomSearch {
     for (int b = 2 * n - 1; b >= n; --b) unusedblossoms_.push_back(b);
   }
 
-  // Runs stages until no augmenting path improves the weight; returns mate:
-  // the remote endpoint of each vertex's matched edge, or -1.
-  std::vector<int> Run() {
+  // Runs stages until no augmenting path improves the weight, checks the
+  // optimality conditions on this search's edges, and returns the matching.
+  MatchingResult Run() {
     for (int stage = 0; stage < n_; ++stage) {
       std::fill(label_.begin(), label_.end(), kFree);
       std::fill(bestedge_.begin(), bestedge_.end(), -1);
@@ -99,7 +104,54 @@ class BlossomSearch {
         }
       }
     }
-    return std::move(mate_);
+
+    // The LP certificate of mwmatching.verifyOptimum; a failure is a bug in
+    // the search. Duals are non-negative, exposed vertices have dual 0,
+    // every edge is feasible and every matched one tight, and each blossom
+    // with a positive dual is full.
+    BM_CHECK(std::none_of(dual_.begin(), dual_.end(), [](std::int64_t d) { return d < 0; }));
+    MatchingResult result;
+    result.mate.assign(Idx(n_), -1);
+    for (int v = 0; v < n_; ++v) {
+      const int p = mate_[Idx(v)];
+      BM_CHECK(p != -1 || dual_[Idx(v)] == 0);
+      if (p != -1) result.mate[Idx(v)] = endpoint_[Idx(p)];
+    }
+    for (int k = 0; k < static_cast<int>(w2_.size()); ++k) {
+      const int i = endpoint_[2 * Idx(k)];
+      const std::int64_t slack = FinalSlack(i, endpoint_[2 * Idx(k) + 1], w2_[Idx(k)]);
+      BM_CHECK_GE(slack, 0);
+      if (mate_[Idx(i)] == 2 * k + 1) {
+        BM_CHECK_EQ(slack, 0);
+        result.total_weight_scaled += w2_[Idx(k)] / 2;
+      }
+    }
+    for (int b = n_; b < 2 * n_; ++b) {
+      if (blossombase_[Idx(b)] < 0 || dual_[Idx(b)] == 0) continue;
+      const std::vector<int>& endps = blossomendps_[Idx(b)];
+      for (std::size_t c = 1; c < endps.size(); c += 2) {
+        BM_CHECK_EQ(mate_[Idx(endpoint_[Idx(endps[c])])], endps[c] ^ 1);
+      }
+    }
+    return result;
+  }
+
+  // Reduced cost of an edge (i, j) of doubled weight w2, which need not be
+  // one of this search's edges, under the duals Run() left: 2·(u_i + u_j +
+  // Σ z_B over the blossoms B holding both ends − w). Negative means the
+  // edge violates the dual, so the matching may not be optimal with it.
+  std::int64_t FinalSlack(int i, int j, std::int64_t w2) const {
+    std::int64_t slack = dual_[Idx(i)] + dual_[Idx(j)] - w2;
+    if (inblossom_[Idx(i)] != inblossom_[Idx(j)]) return slack;
+    // Two climbs that swap chains at the top meet at the smallest blossom
+    // holding both ends; it and its ancestors count.
+    int a = i;
+    for (int b = j; a != b;) {
+      a = blossomparent_[Idx(a)] == -1 ? j : blossomparent_[Idx(a)];
+      b = blossomparent_[Idx(b)] == -1 ? i : blossomparent_[Idx(b)];
+    }
+    for (; a != -1; a = blossomparent_[Idx(a)]) slack += 2 * dual_[Idx(a)];
+    return slack;
   }
 
  private:
@@ -546,6 +598,28 @@ class BlossomSearch {
   std::vector<std::int64_t> bestslackto_;
 };
 
+// The sparse core as a mask over the canonical edge list: the union of every
+// vertex's kCoreDegree heaviest edges, ties to the lower edge id.
+std::vector<std::uint8_t> HeaviestEdges(int n, const std::vector<int>& endpoint,
+                                        const std::vector<std::int64_t>& w2) {
+  const std::size_t none = w2.size();
+  std::vector<std::size_t> top(static_cast<std::size_t>(n) * kCoreDegree, none);
+  for (std::size_t p = 0; p < endpoint.size(); ++p) {
+    const std::size_t k = p >> 1;
+    std::size_t* rank = &top[static_cast<std::size_t>(endpoint[p]) * kCoreDegree];
+    // Edges arrive in id order, so k goes behind every edge as heavy as it.
+    int r = kCoreDegree;
+    while (r > 0 && (rank[r - 1] == none || w2[rank[r - 1]] < w2[k])) --r;
+    if (r == kCoreDegree) continue;
+    std::copy_backward(rank + r, rank + kCoreDegree - 1, rank + kCoreDegree);
+    rank[r] = k;
+  }
+  std::vector<std::uint8_t> in_core(none + 1, 0);  // Slot `none` takes empty ranks.
+  for (std::size_t k : top) in_core[k] = 1;
+  in_core.pop_back();
+  return in_core;
+}
+
 }  // namespace
 
 MaxWeightMatcher::MaxWeightMatcher(int num_vertices, double scale)
@@ -593,20 +667,42 @@ MatchingResult MaxWeightMatcher::Solve() {
   std::vector<Edge>().swap(edges_);
   BM_CHECK_LE(endpoint.size(), static_cast<std::size_t>(std::numeric_limits<int>::max()));
 
-  std::vector<int> mate_endpoint = BlossomSearch(n_, endpoint, w2).Run();
-  MatchingResult result;
-  result.mate.assign(static_cast<std::size_t>(n_), -1);
-  for (std::size_t v = 0; v < mate_endpoint.size(); ++v) {
-    int p = mate_endpoint[v];
-    if (p == -1) continue;
-    int m = endpoint[static_cast<std::size_t>(p)];
-    result.mate[v] = m;
-    if (static_cast<int>(v) < m) {
-      result.total_weight_scaled += w2[static_cast<std::size_t>(p >> 1)] / 2;
+  // Solve on the sparse core, then price every edge left out under the
+  // final duals. A violated edge joins the core for a cold re-solve; none
+  // violated proves the core's matching optimal on the whole graph. A core
+  // over 1/kCoreShare of the edges is all of them.
+  const std::size_t num_edges = w2.size();
+  std::vector<std::uint8_t> in_core = HeaviestEdges(n_, endpoint, w2);
+  auto core_size = static_cast<std::size_t>(std::count(in_core.begin(), in_core.end(), 1));
+  while (true) {
+    if (core_size * kCoreShare > num_edges) {
+      std::fill(in_core.begin(), in_core.end(), 1);
+      core_size = num_edges;
     }
+    std::vector<int> core_endpoint;
+    std::vector<std::int64_t> core_w2;
+    core_endpoint.reserve(2 * core_size);
+    core_w2.reserve(core_size);
+    for (std::size_t k = 0; k < num_edges; ++k) {
+      if (!in_core[k]) continue;
+      core_endpoint.insert(core_endpoint.end(), {endpoint[2 * k], endpoint[2 * k + 1]});
+      core_w2.push_back(w2[k]);
+    }
+    BlossomSearch search(n_, std::move(core_endpoint), std::move(core_w2));
+    MatchingResult result = search.Run();
+    std::size_t violations = 0;
+    for (std::size_t k = 0; k < num_edges; ++k) {
+      if (!in_core[k] && search.FinalSlack(endpoint[2 * k], endpoint[2 * k + 1], w2[k]) < 0) {
+        in_core[k] = 1;
+        ++violations;
+      }
+    }
+    if (violations == 0) {
+      result.total_weight = static_cast<double>(result.total_weight_scaled) / scale_;
+      return result;
+    }
+    core_size += violations;
   }
-  result.total_weight = static_cast<double>(result.total_weight_scaled) / scale_;
-  return result;
 }
 
 }  // namespace bundlemine

@@ -15,6 +15,13 @@
 // bundling semantics: an unmatched item keeps its self-revenue outside the
 // matcher.
 //
+// Sparse core and certificate: Solve() matches on the union of each vertex's
+// 8 heaviest edges (ties to the lower canonical edge id), then prices every
+// other edge under the final LP duals in exact integer units. No negative
+// slack proves the matching optimal on the whole graph; violating edges join
+// the core for a cold re-solve. A core over 1/8 of the edges is all of them.
+// The core's own optimality conditions are checked on every solve.
+//
 // Double-valued revenues are converted through a fixed-point scale (see
 // `MaxWeightMatcher::kDefaultScale`); exactness against a brute-force oracle
 // and against the former dense matcher (tests/oracles/) is covered by

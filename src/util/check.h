@@ -46,7 +46,6 @@ namespace internal {
 #define BM_CHECK_LE(a, b) BM_CHECK((a) <= (b))
 #define BM_CHECK_LT(a, b) BM_CHECK((a) < (b))
 #define BM_CHECK_EQ(a, b) BM_CHECK((a) == (b))
-#define BM_CHECK_NE(a, b) BM_CHECK((a) != (b))
 
 #ifdef NDEBUG
 #define BM_DCHECK(cond) \

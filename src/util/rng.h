@@ -40,11 +40,6 @@ class Rng {
     return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
   }
 
-  /// Uniform 64-bit value.
-  std::uint64_t NextU64() {
-    return (static_cast<std::uint64_t>(NextU32()) << 32) | NextU32();
-  }
-
   /// Uniform integer in [0, bound) using Lemire-style rejection.
   std::uint32_t UniformU32(std::uint32_t bound) {
     BM_CHECK_GT(bound, 0u);

@@ -2,7 +2,8 @@
 // the greedy matcher. The central guarantee — exact optimality of the blossom
 // implementation — is established by randomized cross-checks against the
 // bitmask-DP oracle over hundreds of small graph instances, and against the
-// former dense blossom matcher on graphs of up to 300 vertices.
+// former dense blossom matcher on graphs of up to 400 vertices, including
+// dense ones that exercise the sparse core's certificate and repair.
 
 #include "matching/max_weight_matching.h"
 
@@ -207,11 +208,48 @@ TEST(GreedyMatcher, HalfApproximationOnRandomGraphs) {
 
 // ---------------------------------------------------------------------------
 // Randomized cross-validation beyond the brute force's reach: the edge-list
-// matcher against the former dense O(V³) matcher (tests/oracles/) on graphs
-// of 20-300 vertices. Tie-heavy weights give many equal-weight optima, so
-// only the weight must agree; the mate must be a valid matching over input
-// edges and must not depend on the order edges were added.
+// matcher against the former dense O(V³) matcher (tests/oracles/). Tie-heavy
+// weights give many equal-weight optima, so only the weight must agree; the
+// mate must be a valid matching over input edges and must not depend on the
+// order edges were added.
 // ---------------------------------------------------------------------------
+
+void ExpectMatchesDenseOracle(int n, const std::vector<WeightedEdge>& edges, Rng* rng,
+                              int trial) {
+  DenseMaxWeightMatcher dense(n);
+  for (const WeightedEdge& e : edges) dense.AddEdge(e.u, e.v, e.w);
+  const MatchingResult expected = dense.Solve();
+  const MatchingResult actual = SolveBlossom(n, edges);
+  ASSERT_EQ(actual.total_weight_scaled, expected.total_weight_scaled)
+      << "trial " << trial << " n=" << n << " edges=" << edges.size();
+
+  // Every matched pair is an input edge of positive weight, and the pairs'
+  // scaled weights add up to the reported total.
+  ExpectValidMatching(n, actual);
+  std::map<std::pair<int, int>, std::int64_t> best;
+  for (const WeightedEdge& e : edges) {
+    if (e.u == e.v || e.w <= 0.0) continue;
+    std::int64_t scaled = std::llround(e.w * MaxWeightMatcher::kDefaultScale);
+    std::int64_t& slot = best[{std::min(e.u, e.v), std::max(e.u, e.v)}];
+    slot = std::max(slot, scaled);
+  }
+  std::int64_t mates_weight = 0;
+  for (int v = 0; v < n; ++v) {
+    int m = actual.mate[static_cast<std::size_t>(v)];
+    if (m <= v) continue;
+    auto it = best.find({v, m});
+    ASSERT_NE(it, best.end()) << "trial " << trial << " matched non-edge " << v << "-" << m;
+    mates_weight += it->second;
+  }
+  EXPECT_EQ(mates_weight, actual.total_weight_scaled) << "trial " << trial;
+
+  std::vector<WeightedEdge> shuffled = edges;
+  rng->Shuffle(&shuffled);
+  for (WeightedEdge& e : shuffled) {
+    if (rng->Bernoulli(0.5)) std::swap(e.u, e.v);
+  }
+  EXPECT_EQ(SolveBlossom(n, shuffled).mate, actual.mate) << "trial " << trial;
+}
 
 TEST(MaxWeightMatcher, EqualsDenseOracleOnLargeGraphs) {
   Rng rng(20260);
@@ -232,42 +270,59 @@ TEST(MaxWeightMatcher, EqualsDenseOracleOnLargeGraphs) {
         edges.push_back(WeightedEdge{v, u, tie_heavy ? w : rng.UniformDouble(0.01, 25.0)});
       }
     }
-
-    DenseMaxWeightMatcher dense(n);
-    for (const WeightedEdge& e : edges) dense.AddEdge(e.u, e.v, e.w);
-    const MatchingResult expected = dense.Solve();
-    const MatchingResult actual = SolveBlossom(n, edges);
-    ASSERT_EQ(actual.total_weight_scaled, expected.total_weight_scaled)
-        << "trial " << trial << " n=" << n << " edges=" << edges.size();
-
-    // Every matched pair is an input edge of positive weight, and the pairs'
-    // scaled weights add up to the reported total.
-    ExpectValidMatching(n, actual);
-    std::map<std::pair<int, int>, std::int64_t> best;
-    for (const WeightedEdge& e : edges) {
-      if (e.u == e.v || e.w <= 0.0) continue;
-      std::int64_t scaled =
-          std::llround(e.w * MaxWeightMatcher::kDefaultScale);
-      std::int64_t& slot = best[{std::min(e.u, e.v), std::max(e.u, e.v)}];
-      slot = std::max(slot, scaled);
-    }
-    std::int64_t mates_weight = 0;
-    for (int v = 0; v < n; ++v) {
-      int m = actual.mate[static_cast<std::size_t>(v)];
-      if (m <= v) continue;
-      auto it = best.find({v, m});
-      ASSERT_NE(it, best.end()) << "trial " << trial << " matched non-edge " << v << "-" << m;
-      mates_weight += it->second;
-    }
-    EXPECT_EQ(mates_weight, actual.total_weight_scaled) << "trial " << trial;
-
-    std::vector<WeightedEdge> shuffled = edges;
-    rng.Shuffle(&shuffled);
-    for (WeightedEdge& e : shuffled) {
-      if (rng.Bernoulli(0.5)) std::swap(e.u, e.v);
-    }
-    EXPECT_EQ(SolveBlossom(n, shuffled).mate, actual.mate) << "trial " << trial;
+    ExpectMatchesDenseOracle(n, edges, &rng, trial);
   }
+}
+
+// Dense graphs (mean degree 25-400), where the matcher solves on each
+// vertex's 8 heaviest edges and must repair the optimal edges that core
+// misses: uniform weights, tie-heavy weights (the core's ties go to the lower
+// edge id), and hub graphs, where every vertex's heaviest edges run to a few
+// hubs that can take only one partner each.
+TEST(MaxWeightMatcher, SparseCoreRepairEqualsDenseOracleOnDenseGraphs) {
+  Rng rng(20261);
+  for (int trial = 0; trial < 24; ++trial) {
+    const int n = rng.UniformInt(50, 400);
+    const double density = rng.UniformDouble(0.5, 1.0);
+    const int kind = trial % 3;
+    const int hubs = rng.UniformInt(8, 12);
+    std::vector<WeightedEdge> edges;
+    for (int u = 0; u < n; ++u) {
+      for (int v = u + 1; v < n; ++v) {
+        if (!rng.Bernoulli(density)) continue;
+        double w = rng.UniformDouble(0.01, 25.0);
+        if (kind == 1) w = static_cast<double>(rng.UniformInt(1, 5));
+        if (kind == 2 && u < hubs) w += 30.0;
+        edges.push_back(WeightedEdge{u, v, w});
+      }
+    }
+    ExpectMatchesDenseOracle(n, edges, &rng, trial);
+  }
+}
+
+// Vertices 0 and 1 each have 8 edges of weight 20 to decoys 2..9, so their
+// edge 0-1 (weight 15) ranks 9th at both ends and misses the core. Each
+// decoy has a private partner at weight 100, so every optimum keeps the
+// decoys there and matches 0-1. A 160-vertex filler clique keeps the core
+// under an eighth of the edges, so the core is really sparse.
+TEST(MaxWeightMatcher, RepairAddsOptimalEdgeRankedBelowEighthAtBothEnds) {
+  const int n = 18 + 160;
+  std::vector<WeightedEdge> edges = {{0, 1, 15.0}};
+  for (int d = 2; d < 10; ++d) {
+    edges.push_back(WeightedEdge{0, d, 20.0});
+    edges.push_back(WeightedEdge{1, d, 20.0});
+    edges.push_back(WeightedEdge{d, d + 8, 100.0});
+  }
+  for (int u = 18; u < n; ++u) {
+    for (int v = u + 1; v < n; ++v) {
+      edges.push_back(WeightedEdge{u, v, 1.0 + ((u * 31 + v * 17) % 101) / 100.0});
+    }
+  }
+  const MatchingResult r = SolveBlossom(n, edges);
+  EXPECT_EQ(r.mate[0], 1);
+  for (int d = 2; d < 10; ++d) EXPECT_EQ(r.mate[static_cast<std::size_t>(d)], d + 8);
+  Rng rng(5);
+  ExpectMatchesDenseOracle(n, edges, &rng, 0);
 }
 
 }  // namespace
