@@ -2,12 +2,11 @@
 // run through the scenario engine's method-config axes, so every ablation
 // point is a deterministic grid cell and --json leaves one
 // "bundlemine.sweep" artifact per ablation (tagged .levels/.pruning/
-// .oracle/.composition/.miner):
+// .oracle/.composition):
 //   1. price-grid resolution T (paper claims 100 buckets suffice);
 //   2-3. round-1 co-interest pruning and later-round stale-edge pruning;
 //   4. exact blossom vs greedy matching oracle inside Algorithm 1;
-//   5. min-slack vs product composition of the stochastic mixed constraints;
-//   6. the frequent-itemset engine behind the FreqItemset baseline.
+//   5. min-slack vs product composition of the stochastic mixed constraints.
 //
 // (The former seller-utility welfare ablation was a pricing-kernel loop,
 // not a method solve; it lives on in the pricing tests and examples.)
@@ -31,7 +30,7 @@ int main(int argc, char** argv) {
   bench::DefineCommonFlags(&flags);
   flags.Parse(argc, argv);
 
-  // One Engine for all five sweeps: the dataset materializes once into its
+  // One Engine for all four sweeps: the dataset materializes once into its
   // cache and every ablation reuses it.
   Engine engine(bench::EngineOptions(flags));
 
@@ -126,36 +125,6 @@ int main(int argc, char** argv) {
     std::printf("  both recover the deterministic conjunction as gamma grows; "
                 "product is the more conservative finite-gamma model\n");
     bench::WriteSweepJsonTagged(result, flags, "composition");
-  }
-
-  // ---- 6. Frequent-itemset engine behind the FreqItemset baseline. ----
-  {
-    // All-frequent engines blow up at the paper's 0.1% support (the reason
-    // the paper mines *maximal* sets); compare at 4% where the full
-    // enumeration stays tractable.
-    ScenarioSpec spec = bench::ScenarioFromFlags(
-        flags, "ablation-miner",
-        "freq-itemset engine ablation at 4% support (DESIGN.md ablation 7)",
-        {ScenarioAxis{AxisKind::kMiner, {0, 1, 2}},
-         ScenarioAxis{AxisKind::kFreqSupport, {0.04}}},
-        {"mixed-freq"});
-    SweepResult result = bench::RunSweep(engine, spec, flags);
-
-    const char* engine_names[] = {"MAFIA (maximal-first)",
-                                  "Apriori + maximal filter",
-                                  "FP-Growth + maximal filter"};
-    TablePrinter table("Ablation 6 — mining engine (Mixed FreqItemset)");
-    table.SetHeader({"engine", "coverage", "time (s)"});
-    for (const SweepCellResult& cell : result.cells) {
-      table.AddRow(
-          {engine_names[static_cast<int>(cell.cell.axis_values[0])],
-           bench::Pct(cell.coverage), Time(cell)});
-    }
-    table.Print();
-    std::printf("  identical configurations by construction; runtime differs.\n"
-                "  note: support raised to 4%% — at the paper's 0.1%% only the\n"
-                "  maximal-first miner is tractable\n");
-    bench::WriteSweepJsonTagged(result, flags, "miner");
   }
   return 0;
 }

@@ -19,7 +19,6 @@
 
 #include "api/engine.h"
 #include "data/wtp_matrix.h"
-#include "pricing/joint_pair_pricer.h"
 #include "pricing/mixed_pricer.h"
 #include "pricing/offer_pricer.h"
 
@@ -106,19 +105,6 @@ int main() {
                 r.bundle_price, r.expected_adopters, r.gain);
     std::printf("  total revenue $%.2f = $27.00 components + $%.2f bundle gain\n\n",
                 components.total_revenue + r.gain, r.gain);
-  }
-
-  // ---- Future work implemented: joint component/bundle pricing. ----
-  // Section 4.2 fixes component prices first; the joint relaxation searches
-  // (pA, pB, pAB) together under rational consumer choice.
-  {
-    JointPairResult joint =
-        OptimizeJointPair(wtp.ItemVector(0), wtp.ItemVector(1), theta);
-    std::printf("Joint pricing relaxation (paper's future work):\n");
-    std::printf("  pA=$%.2f pB=$%.2f pAB=$%.2f  => total revenue $%.2f "
-                "(%.0f bundle buyers)\n\n",
-                joint.price_a, joint.price_b, joint.price_bundle, joint.revenue,
-                joint.bundle_buyers);
   }
 
   // ---- And the full algorithm, one request. ----

@@ -79,9 +79,8 @@ std::shared_ptr<const WtpMatrix> Engine::WtpFor(const std::string& ns,
 
 ItemsetSource Engine::ItemsetsFor(std::string ns, std::string version) {
   return [this, ns = std::move(ns), version = std::move(version)](
-             int support, MinerEngine miner, const ItemsetMiner& mine) {
-    const std::string key = StrFormat("%ssupport=%d;miner=%d", version.c_str(),
-                                      support, static_cast<int>(miner));
+             int support, const ItemsetMiner& mine) {
+    const std::string key = StrFormat("%ssupport=%d", version.c_str(), support);
     return itemsets_.GetOrCompute(ns, key, mine);
   };
 }

@@ -12,9 +12,9 @@
 //   * Amortized data work. One cache class (util/lru_cache.h) serves
 //     every piece of data work a request repeats: generated datasets keyed
 //     by (profile, seed, overrides); WTP matrices keyed by (dataset, λ);
-//     maximal frequent itemsets keyed by (dataset, support count, miner),
-//     which depend on WTP positivity only, so the freq cells of every θ and
-//     λ share one mine; and the incremental-resolve lines. A miss computes
+//     maximal frequent itemsets keyed by (dataset, support count), which
+//     depend on WTP positivity only, so the freq cells of every θ and λ
+//     share one mine; and the incremental-resolve lines. A miss computes
 //     outside the lock while concurrent askers of the same key wait, so one
 //     tenant's cold load never delays another tenant's hit. A market's
 //     derived entries live in its own namespace and leave with it.
@@ -176,7 +176,7 @@ class Engine {
     /// Derived WTP matrices kept alive, keyed by (dataset key, λ) — a
     /// dataset with three λ axis points occupies three entries. LRU
     /// eviction; 0 disables caching. Also bounds the mined-itemset cache,
-    /// whose entries are keyed by (dataset key, support count, miner).
+    /// whose entries are keyed by (dataset key, support count).
     std::size_t wtp_cache_capacity = 8;
     /// Incremental-resolve cache entries kept alive, keyed by
     /// (market id, spec). Each entry holds the prior solve's per-cell

@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "core/resolve_hints.h"
-#include "mining/fp_growth.h"
 #include "mining/mafia.h"
 #include "mining/transactions.h"
 #include "pricing/mixed_pricer.h"
@@ -65,12 +64,10 @@ BundleSolution FreqItemsetBundler::Solve(const BundleConfigProblem& problem,
   limits.min_support_count = std::max(
       5, static_cast<int>(std::ceil(problem.freq_min_support * wtp.num_users())));
   // Mine *uncapped* maximal itemsets (the paper's protocol) and filter
-  // oversize candidates below. Pushing the size cap into the miner is both
-  // unsound for PEP and combinatorially explosive: the k-capped maximal
-  // family is vastly larger than the unrestricted one. Uncapped, the result
-  // depends on the transactions, support and miner only — not on θ, k or
-  // the strategy — which is what lets freq cells share one mine.
-  limits.max_itemset_size = 0;
+  // oversize candidates below: the k-capped maximal family is vastly larger
+  // than the unrestricted one. Uncapped, the result depends on the
+  // transactions and support only — not on θ, k or the strategy — which is
+  // what lets freq cells share one mine.
   // Deadline coverage inside the mine itself: freq cells used to run the
   // miners unbounded and only honour the deadline between candidate
   // evaluations. A stopped mine yields fewer candidates; the configuration
@@ -90,20 +87,8 @@ BundleSolution FreqItemsetBundler::Solve(const BundleConfigProblem& problem,
     TransactionDb local_db;
     if (!use_hint) local_db = TransactionDb::FromWtp(wtp);
     const TransactionDb& db = use_hint ? *hinted : local_db;
-    std::vector<FrequentItemset> mined;
-    switch (problem.freq_miner) {
-      case MinerEngine::kMafia:
-        mined = MineMaximalFrequent(db, limits);
-        break;
-      case MinerEngine::kApriori:
-        mined = FilterMaximal(MineFrequentApriori(db, limits));
-        break;
-      case MinerEngine::kFpGrowth:
-        mined = FilterMaximal(MineFrequentFpGrowth(db, limits));
-        break;
-    }
     return std::make_shared<const std::vector<FrequentItemset>>(
-        std::move(mined));
+        MineMaximalFrequent(db, limits));
   };
   // A deadline-bound solve mines on its own: it must not wait out another
   // request's unbounded mine of the same transactions, and its own mine,
@@ -112,7 +97,7 @@ BundleSolution FreqItemsetBundler::Solve(const BundleConfigProblem& problem,
                       context.options().deadline_seconds <= 0.0;
   const MaximalItemsets itemsets =
       shared
-          ? hints->itemsets(limits.min_support_count, problem.freq_miner, mine)
+          ? hints->itemsets(limits.min_support_count, mine)
           : mine();
 
   // Evaluate candidates (size ≥ 2 only; size-1 candidates are the items).

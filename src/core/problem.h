@@ -16,15 +16,6 @@ enum class BundlingStrategy {
   kMixed,
 };
 
-/// Frequent-itemset engine behind the FreqItemset baseline. All three yield
-/// identical candidate bundles (cross-validated in tests); they differ only
-/// in runtime characteristics.
-enum class MinerEngine {
-  kMafia,     ///< Maximal-first DFS with PEP/FHUT pruning (paper's choice).
-  kApriori,   ///< Level-wise; all frequent sets, filtered to maximal.
-  kFpGrowth,  ///< Pattern growth; all frequent sets, filtered to maximal.
-};
-
 /// The k-sized bundle configuration problem instance (paper Section 3.2) plus
 /// the algorithmic knobs the evaluation sweeps.
 struct BundleConfigProblem {
@@ -74,11 +65,9 @@ struct BundleConfigProblem {
 
   /// Frequent-itemset baseline: minimum support as a fraction of consumers
   /// (paper: 0.1%) with an absolute floor of 5 transactions — the paper's
-  /// effective count on the Amazon data (⌈0.001 · 4449⌉).
+  /// effective count on the Amazon data (⌈0.001 · 4449⌉). The baseline
+  /// mines maximal frequent itemsets with MAFIA (mining/mafia.h).
   double freq_min_support = 0.001;
-
-  /// Mining engine for the FreqItemset baseline.
-  MinerEngine freq_miner = MinerEngine::kMafia;
 
   /// Returns the effective maximum bundle size (num_items when unconstrained).
   int EffectiveMaxSize() const {

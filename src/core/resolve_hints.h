@@ -22,25 +22,23 @@
 #include <optional>
 #include <vector>
 
-#include "core/problem.h"
-
 namespace bundlemine {
 
 class TransactionDb;      // mining/transactions.h
 struct FrequentItemset;  // mining/transactions.h
 
 /// Maximal frequent itemsets, shared read-only by every cell that mines the
-/// same transactions at the same support and miner.
+/// same transactions at the same support.
 using MaximalItemsets = std::shared_ptr<const std::vector<FrequentItemset>>;
 
 /// Runs one complete (never deadline-stopped) mine.
 using ItemsetMiner = std::function<MaximalItemsets()>;
 
-/// Source of a cell's maximal itemsets at (min_support_count, miner): shared
-/// ones when another cell over the same transactions mined them, otherwise
+/// Source of a cell's maximal itemsets at min_support_count: shared ones
+/// when another cell over the same transactions mined them, otherwise
 /// `mine`'s result.
-using ItemsetSource = std::function<MaximalItemsets(
-    int min_support_count, MinerEngine miner, const ItemsetMiner& mine)>;
+using ItemsetSource = std::function<MaximalItemsets(int min_support_count,
+                                                    const ItemsetMiner& mine)>;
 
 /// Cache of one MatchingBundler solve's pair evaluations, valid in every
 /// round of the next solve of the same cell.

@@ -103,12 +103,10 @@ void Mine(MafiaState* st, std::vector<int>* head, const Bitset& head_bm,
   if (st->limits.should_stop && st->limits.should_stop()) return;
 
   const int minsup = st->limits.min_support_count;
-  const int max_size = st->limits.max_itemset_size;
 
   // Conditional supports for the tail; PEP moves support-preserving items
-  // straight into the head. PEP is only sound without a size cap: every
-  // *unrestricted* maximal superset of the head contains a support-equal
-  // item, but a size-capped maximal set may have to leave it out.
+  // straight into the head: every maximal superset of the head contains a
+  // support-equal item.
   struct TailEntry {
     int item;
     int support;
@@ -119,7 +117,7 @@ void Mine(MafiaState* st, std::vector<int>* head, const Bitset& head_bm,
   for (int x : tail) {
     int sup = static_cast<int>(head_bm.AndCount(st->db->Column(x)));
     if (sup < minsup) continue;
-    if (sup == head_support && max_size == 0) {
+    if (sup == head_support) {
       pep_items.push_back(x);
     } else {
       entries.push_back(TailEntry{x, sup});
@@ -129,10 +127,7 @@ void Mine(MafiaState* st, std::vector<int>* head, const Bitset& head_bm,
   // its transactions, so the head bitmap is unchanged.
   for (int x : pep_items) head->push_back(x);
 
-  bool size_capped =
-      max_size != 0 && static_cast<int>(head->size()) >= max_size;
-
-  if (entries.empty() || size_capped) {
+  if (entries.empty()) {
     if (!head->empty()) EmitMaximal(st, *head, head_support);
     for (std::size_t i = 0; i < pep_items.size(); ++i) head->pop_back();
     return;
@@ -140,18 +135,15 @@ void Mine(MafiaState* st, std::vector<int>* head, const Bitset& head_bm,
 
   // FHUT lookahead: if head ∪ tail is frequent, the entire subtree collapses
   // into one maximal set.
-  if (max_size == 0 ||
-      static_cast<int>(head->size() + entries.size()) <= max_size) {
-    Bitset all = head_bm;
-    for (const TailEntry& e : entries) all.AndWith(st->db->Column(e.item));
-    int all_sup = static_cast<int>(all.Count());
-    if (all_sup >= minsup) {
-      std::vector<int> full = *head;
-      for (const TailEntry& e : entries) full.push_back(e.item);
-      EmitMaximal(st, std::move(full), all_sup);
-      for (std::size_t i = 0; i < pep_items.size(); ++i) head->pop_back();
-      return;
-    }
+  Bitset all = head_bm;
+  for (const TailEntry& e : entries) all.AndWith(st->db->Column(e.item));
+  int all_sup = static_cast<int>(all.Count());
+  if (all_sup >= minsup) {
+    std::vector<int> full = *head;
+    for (const TailEntry& e : entries) full.push_back(e.item);
+    EmitMaximal(st, std::move(full), all_sup);
+    for (std::size_t i = 0; i < pep_items.size(); ++i) head->pop_back();
+    return;
   }
 
   // Dynamic reordering: ascending support first maximizes tail shrinkage.

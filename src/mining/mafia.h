@@ -12,20 +12,35 @@
 //     effectiveness of the lookahead.
 // Maximality is enforced against the growing MFI list (subset subsumption).
 //
-// Output equals maximal(Apriori frequent) — asserted by cross-validation
-// tests — while exploring a small fraction of the lattice.
+// This is the library's only frequent-itemset miner. Its output equals
+// maximal(Apriori frequent), asserted by tests against the Apriori oracle in
+// tests/oracles/apriori.h, while it explores a small fraction of the lattice.
 
 #ifndef BUNDLEMINE_MINING_MAFIA_H_
 #define BUNDLEMINE_MINING_MAFIA_H_
 
-#include "mining/apriori.h"
+#include <cstddef>
+#include <functional>
+#include <vector>
+
 #include "mining/transactions.h"
 
 namespace bundlemine {
 
-/// Mines all maximal frequent itemsets of `db` at limits.min_support_count.
-/// limits.max_itemset_size additionally caps itemset cardinality (0 = none),
-/// in which case the result is the maximal frequent sets of size ≤ cap.
+/// Limits of one mine.
+struct MinerLimits {
+  int min_support_count = 2;         ///< Absolute support threshold (≥ 1).
+  std::size_t max_results = 200000;  ///< Safety valve; abort past this.
+  /// Optional cooperative cancellation, checked once per DFS node. Returning
+  /// true ends the mine early: every itemset already emitted is genuinely
+  /// frequent, but the collection is no longer maximal-complete. Callers
+  /// wire this to SolveContext deadlines via DeadlineStopCondition; leave
+  /// empty for the usual unbounded mine.
+  std::function<bool()> should_stop;
+};
+
+/// Mines all maximal frequent itemsets of `db` at limits.min_support_count,
+/// sorted by items.
 std::vector<FrequentItemset> MineMaximalFrequent(const TransactionDb& db,
                                                  const MinerLimits& limits);
 

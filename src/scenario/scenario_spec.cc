@@ -66,7 +66,6 @@ std::string AxisKindName(AxisKind kind) {
     case AxisKind::kNumUsers: return "num_users";
     case AxisKind::kNumItems: return "num_items";
     case AxisKind::kItemSample: return "item-sample";
-    case AxisKind::kMiner: return "miner";
     case AxisKind::kPruneCoInterest: return "prune-co-interest";
     case AxisKind::kPruneStaleEdges: return "prune-stale-edges";
     case AxisKind::kMatchingLimit: return "matching-limit";
@@ -91,8 +90,6 @@ std::string AxisKindDescription(AxisKind kind) {
       return "pre-filter generator items (per-cell dataset regeneration)";
     case AxisKind::kItemSample:
       return "random N-item subsample of the catalogue, all users kept";
-    case AxisKind::kMiner:
-      return "freq-itemset engine: 0 = MAFIA, 1 = Apriori, 2 = FP-Growth";
     case AxisKind::kPruneCoInterest:
       return "round-1 co-interest pruning toggle (0/1)";
     case AxisKind::kPruneStaleEdges:
@@ -368,14 +365,6 @@ bool ValidateAxisValues(const ScenarioAxis& axis, std::string* error) {
                                  FormatDoubleShortest(value));
         }
         break;
-      case AxisKind::kMiner:
-        if (!IsIntegral(value) || value < 0 || value > 2) {
-          return Fail(error,
-                      "axis 'miner' needs 0 (MAFIA), 1 (Apriori) or "
-                      "2 (FP-Growth), got " +
-                          FormatDoubleShortest(value));
-        }
-        break;
       case AxisKind::kPruneCoInterest:
       case AxisKind::kPruneStaleEdges:
       case AxisKind::kComposition:
@@ -540,13 +529,6 @@ std::vector<ScenarioSpec> MakeBuiltins() {
       {AxisKind::kPruneCoInterest, {1, 0}});
   pruning.axes.push_back({AxisKind::kPruneStaleEdges, {1, 0}});
   presets.push_back(std::move(pruning));
-
-  ScenarioSpec miners = MakePreset(
-      "miner-engines",
-      "freq-itemset engine ablation (MAFIA vs Apriori vs FP-Growth)",
-      {"mixed-freq"}, {AxisKind::kMiner, {0, 1, 2}});
-  miners.axes.push_back({AxisKind::kFreqSupport, {0.04}});
-  presets.push_back(std::move(miners));
 
   for (const ScenarioSpec& spec : presets) {
     std::string error;

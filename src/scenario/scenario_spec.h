@@ -38,11 +38,11 @@ namespace bundlemine {
 ///     the generated catalogue, so each axis point solves against its own
 ///     deterministically regenerated dataset (fig7-style scalability
 ///     curves, Table 4/5 small-N protocols).
-///   * Method-config axes — miner (0 = MAFIA, 1 = Apriori, 2 = FP-Growth),
-///     the prune-* toggles (0/1), matching-limit (exact-blossom vertex
-///     ceiling; 0 forces the greedy oracle), composition (0 = min-slack,
-///     1 = product), and freq-support select algorithm variants, so the
-///     paper's ablations run through the same cell grid.
+///   * Method-config axes — the prune-* toggles (0/1), matching-limit
+///     (exact-blossom vertex ceiling; 0 forces the greedy oracle),
+///     composition (0 = min-slack, 1 = product), and freq-support select
+///     algorithm variants, so the paper's ablations run through the same
+///     cell grid.
 enum class AxisKind {
   // Problem knobs.
   kTheta,
@@ -56,7 +56,6 @@ enum class AxisKind {
   kNumItems,
   kItemSample,
   // Method-config axes (ablation sweeps).
-  kMiner,
   kPruneCoInterest,
   kPruneStaleEdges,
   kMatchingLimit,
@@ -65,7 +64,7 @@ enum class AxisKind {
 };
 
 /// Number of distinct AxisKind values (for kind-indexed tables).
-inline constexpr int kNumAxisKinds = 15;
+inline constexpr int kNumAxisKinds = 14;
 
 /// Canonical axis name ("theta", "num_users", "prune-co-interest", ...).
 std::string AxisKindName(AxisKind kind);
@@ -147,8 +146,7 @@ std::string FormatScenarioSpec(const ScenarioSpec& spec);
 /// method registered, at least one axis and every axis non-empty, no axis
 /// kind repeated (the diagnostic names the duplicate and both positions),
 /// and per-kind value constraints (integer axes integral, toggles 0/1,
-/// miner in [0, 2], positive population sizes). Returns false with a
-/// diagnostic in `error`.
+/// positive population sizes). Returns false with a diagnostic in `error`.
 bool ValidateScenarioSpec(const ScenarioSpec& spec, std::string* error = nullptr);
 
 /// Non-fatal authoring lints on an otherwise valid spec, one message per

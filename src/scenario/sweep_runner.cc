@@ -147,9 +147,6 @@ double ApplyAxes(const ScenarioSpec& spec, const SweepCell& cell,
       case AxisKind::kNumItems:
       case AxisKind::kItemSample:
         break;  // Dataset axes select the cell dataset, not problem knobs.
-      case AxisKind::kMiner:
-        problem->freq_miner = static_cast<MinerEngine>(static_cast<int>(value));
-        break;
       case AxisKind::kPruneCoInterest:
         problem->prune_co_interest = value != 0.0;
         break;

@@ -31,9 +31,6 @@
 /// capability held (shared or exclusive), writes require it exclusive.
 #define GUARDED_BY(x) BM_THREAD_ANNOTATION(guarded_by(x))
 
-/// Pointer member whose *pointee* is protected by the given capability.
-#define PT_GUARDED_BY(x) BM_THREAD_ANNOTATION(pt_guarded_by(x))
-
 /// Function precondition: the listed capabilities are held on entry (and
 /// still held on exit).
 #define REQUIRES(...) BM_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
@@ -47,19 +44,5 @@
 
 /// Function releases the listed capabilities (held on entry).
 #define RELEASE(...) BM_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-
-/// Function attempts acquisition; the first argument is the return value
-/// that signals success.
-#define TRY_ACQUIRE(...) BM_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-
-/// Runtime assertion that the capability is held (informs the analysis).
-#define ASSERT_CAPABILITY(x) BM_THREAD_ANNOTATION(assert_capability(x))
-
-/// Function returns a reference to the given capability.
-#define RETURN_CAPABILITY(x) BM_THREAD_ANNOTATION(lock_returned(x))
-
-/// Escape hatch: disables the analysis for one function. Every use needs a
-/// comment explaining why the discipline cannot be expressed.
-#define NO_THREAD_SAFETY_ANALYSIS BM_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 #endif  // BUNDLEMINE_UTIL_THREAD_ANNOTATIONS_H_

@@ -372,7 +372,7 @@ TEST(ItemsetCache, DeadlineSolveNeverWaitsOnAnInFlightMine) {
   std::shared_future<void> released = release.get_future().share();
   std::atomic<bool> asked{false};
   ResolveHints hints;
-  hints.itemsets = [&](int, MinerEngine, const ItemsetMiner& mine) {
+  hints.itemsets = [&](int, const ItemsetMiner& mine) {
     asked = true;
     released.wait();
     return mine();

@@ -218,33 +218,5 @@ TEST(Runner, StandardKeysAreSevenMethods) {
   EXPECT_EQ(StandardMethodKeys().front(), "components");
 }
 
-// ---------------------------------------------------------------------------
-// Miner-engine interchangeability in the FreqItemset baseline.
-// ---------------------------------------------------------------------------
-
-TEST(MinerEngines, FreqItemsetBaselineIsEngineInvariant) {
-  RatingsDataset data = GenerateAmazonLike(TinyProfile(7));
-  WtpMatrix wtp = WtpMatrix::FromRatings(data, 1.25);
-  BundleConfigProblem problem;
-  problem.wtp = &wtp;
-  problem.price_levels = 100;
-  // The all-frequent engines enumerate exponentially more sets than the
-  // maximal-first miner (the reason the paper uses MAFIA); a higher support
-  // keeps the full enumeration tractable for the equivalence check.
-  problem.freq_min_support = 0.08;
-  for (const char* key : {"pure-freq", "mixed-freq"}) {
-    problem.freq_miner = MinerEngine::kMafia;
-    BundleSolution mafia = SolveMethod(key, problem);
-    problem.freq_miner = MinerEngine::kApriori;
-    BundleSolution apriori = SolveMethod(key, problem);
-    problem.freq_miner = MinerEngine::kFpGrowth;
-    BundleSolution fp = SolveMethod(key, problem);
-    EXPECT_NEAR(mafia.total_revenue, apriori.total_revenue, 1e-6) << key;
-    EXPECT_NEAR(mafia.total_revenue, fp.total_revenue, 1e-6) << key;
-    EXPECT_EQ(mafia.offers.size(), apriori.offers.size()) << key;
-    EXPECT_EQ(mafia.offers.size(), fp.offers.size()) << key;
-  }
-}
-
 }  // namespace
 }  // namespace bundlemine

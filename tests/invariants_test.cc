@@ -203,39 +203,33 @@ TEST(WspDeadline, TightDeadlineReturnsValidPartialSolution) {
   }
 }
 
-TEST(FreqDeadline, TightDeadlineStopsEveryMinerWithValidPartialSolution) {
-  // The frequent-itemset baselines used to run their miners unbounded; all
-  // three engines now honor the SolveContext stop condition. An
-  // already-expired deadline must cut the mine short (deadline_hit) while
-  // the assembled configuration — whatever candidates survived plus all
-  // singletons — stays structurally valid.
+TEST(FreqDeadline, TightDeadlineStopsTheMinerWithValidPartialSolution) {
+  // MAFIA honors the SolveContext stop condition: an already-expired
+  // deadline must cut the mine short (deadline_hit) while the assembled
+  // configuration — whatever candidates survived plus all singletons — stays
+  // structurally valid.
   RatingsDataset data = GenerateAmazonLike(TinyProfile(77));
   WtpMatrix wtp = WtpMatrix::FromRatings(data, 1.25);
-  for (MinerEngine miner :
-       {MinerEngine::kMafia, MinerEngine::kApriori, MinerEngine::kFpGrowth}) {
-    for (const char* key : {"pure-freq", "mixed-freq"}) {
-      SCOPED_TRACE(testing::Message()
-                   << key << " miner=" << static_cast<int>(miner));
-      BundleConfigProblem problem;
-      problem.wtp = &wtp;
-      problem.freq_miner = miner;
+  for (const char* key : {"pure-freq", "mixed-freq"}) {
+    SCOPED_TRACE(key);
+    BundleConfigProblem problem;
+    problem.wtp = &wtp;
 
-      SolveContext::Options options;
-      options.deadline_seconds = 1e-12;  // Expires before the mine starts.
-      SolveContext context(options);
-      BundleSolution solution = SolveMethod(key, problem, context);
+    SolveContext::Options options;
+    options.deadline_seconds = 1e-12;  // Expires before the mine starts.
+    SolveContext context(options);
+    BundleSolution solution = SolveMethod(key, problem, context);
 
-      EXPECT_TRUE(context.stats().deadline_hit);
-      const BundlerRegistry::Entry* entry = BundlerRegistry::Global().Find(key);
-      ASSERT_NE(entry, nullptr);
-      BundleConfigProblem adjusted = problem;
-      if (entry->adjust) entry->adjust(&adjusted);
-      std::string error;
-      EXPECT_TRUE(IsValidConfiguration(solution, wtp.num_items(),
-                                       adjusted.strategy, &error))
-          << error;
-      EXPECT_GE(solution.total_revenue, 0.0);
-    }
+    EXPECT_TRUE(context.stats().deadline_hit);
+    const BundlerRegistry::Entry* entry = BundlerRegistry::Global().Find(key);
+    ASSERT_NE(entry, nullptr);
+    BundleConfigProblem adjusted = problem;
+    if (entry->adjust) entry->adjust(&adjusted);
+    std::string error;
+    EXPECT_TRUE(IsValidConfiguration(solution, wtp.num_items(),
+                                     adjusted.strategy, &error))
+        << error;
+    EXPECT_GE(solution.total_revenue, 0.0);
   }
 }
 

@@ -1,14 +1,15 @@
-// Unit tests for the mining substrate: bitsets, transaction DB, Apriori, and
-// the MAFIA-style maximal miner — cross-validated against each other.
+// Unit tests for the mining substrate: bitsets, transaction DB, and the
+// MAFIA-style maximal miner, cross-validated against the Apriori oracle
+// (tests/oracles/apriori.h).
 
 #include <algorithm>
 
 #include "data/wtp_matrix.h"
 #include "gtest/gtest.h"
-#include "mining/apriori.h"
 #include "mining/bitset.h"
 #include "mining/mafia.h"
 #include "mining/transactions.h"
+#include "oracles/apriori.h"
 #include "util/rng.h"
 
 namespace bundlemine {
@@ -65,9 +66,7 @@ TEST(TransactionDb, FromWtpUsesPositiveEntries) {
 TEST(Apriori, TextbookExample) {
   TransactionDb db = TransactionDb::FromTransactions(
       5, {{0, 1, 4}, {1, 3}, {1, 2}, {0, 1, 3}, {0, 2}});
-  MinerLimits limits;
-  limits.min_support_count = 2;
-  auto frequent = MineFrequentApriori(db, limits);
+  auto frequent = MineFrequentApriori(db, /*min_support_count=*/2);
   // Frequent: {0}:3 {1}:4 {2}:2 {3}:2 {0,1}:2 {1,3}:2 — and nothing else.
   ASSERT_EQ(frequent.size(), 6u);
   auto find = [&](std::vector<int> items) -> int {
@@ -83,18 +82,6 @@ TEST(Apriori, TextbookExample) {
   EXPECT_EQ(find({0, 1}), 2);
   EXPECT_EQ(find({1, 3}), 2);
   EXPECT_EQ(find({0, 4}), -1);
-}
-
-TEST(Apriori, MaxSizeCap) {
-  TransactionDb db = TransactionDb::FromTransactions(
-      4, {{0, 1, 2}, {0, 1, 2}, {0, 1, 2}, {3}});
-  MinerLimits limits;
-  limits.min_support_count = 2;
-  limits.max_itemset_size = 2;
-  auto frequent = MineFrequentApriori(db, limits);
-  for (const auto& f : frequent) {
-    EXPECT_LE(f.items.size(), 2u);
-  }
 }
 
 TEST(FilterMaximal, KeepsOnlyMaximalSets) {
@@ -168,7 +155,8 @@ TEST_P(MinerCrossValidationTest, MafiaEqualsMaximalApriori) {
     limits.min_support_count = param.min_support;
 
     auto mafia = MineMaximalFrequent(db, limits);
-    auto apriori_maximal = FilterMaximal(MineFrequentApriori(db, limits));
+    auto apriori_maximal =
+        FilterMaximal(MineFrequentApriori(db, param.min_support));
 
     ASSERT_EQ(mafia.size(), apriori_maximal.size()) << "trial " << trial;
     for (std::size_t s = 0; s < mafia.size(); ++s) {
@@ -183,30 +171,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(MiningCase{6, 20, 0.4, 2}, MiningCase{8, 30, 0.3, 2},
                       MiningCase{8, 30, 0.5, 3}, MiningCase{10, 40, 0.25, 2},
                       MiningCase{10, 25, 0.5, 4}, MiningCase{12, 50, 0.2, 3}));
-
-TEST(MaximalMiner, SizeCapProducesCappedMaximalSets) {
-  Rng rng(999);
-  std::vector<std::vector<int>> txns;
-  for (int t = 0; t < 30; ++t) {
-    std::vector<int> txn;
-    for (int i = 0; i < 8; ++i) {
-      if (rng.UniformDouble() < 0.5) txn.push_back(i);
-    }
-    txns.push_back(std::move(txn));
-  }
-  TransactionDb db = TransactionDb::FromTransactions(8, txns);
-  MinerLimits capped;
-  capped.min_support_count = 2;
-  capped.max_itemset_size = 2;
-  auto maximal = MineMaximalFrequent(db, capped);
-  MinerLimits apriori_limits = capped;
-  auto expected = FilterMaximal(MineFrequentApriori(db, apriori_limits));
-  ASSERT_EQ(maximal.size(), expected.size());
-  for (std::size_t s = 0; s < maximal.size(); ++s) {
-    EXPECT_LE(maximal[s].items.size(), 2u);
-    EXPECT_EQ(maximal[s].items, expected[s].items);
-  }
-}
 
 }  // namespace
 }  // namespace bundlemine

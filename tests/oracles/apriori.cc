@@ -1,4 +1,4 @@
-#include "mining/apriori.h"
+#include "oracles/apriori.h"
 
 #include <algorithm>
 
@@ -27,8 +27,8 @@ bool AllSubsetsFrequent(const std::vector<int>& candidate,
 }  // namespace
 
 std::vector<FrequentItemset> MineFrequentApriori(const TransactionDb& db,
-                                                 const MinerLimits& limits) {
-  BM_CHECK_GE(limits.min_support_count, 1);
+                                                 int min_support_count) {
+  BM_CHECK_GE(min_support_count, 1);
   std::vector<FrequentItemset> result;
 
   // Level 1.
@@ -36,7 +36,7 @@ std::vector<FrequentItemset> MineFrequentApriori(const TransactionDb& db,
   std::vector<Bitset> level_bitmaps;
   for (int i = 0; i < db.num_items(); ++i) {
     int sup = db.ItemSupport(i);
-    if (sup >= limits.min_support_count) {
+    if (sup >= min_support_count) {
       result.push_back(FrequentItemset{{i}, sup});
       level.push_back({i});
       level_bitmaps.push_back(db.Column(i));
@@ -44,15 +44,11 @@ std::vector<FrequentItemset> MineFrequentApriori(const TransactionDb& db,
   }
 
   int k = 2;
-  while (!level.empty() &&
-         (limits.max_itemset_size == 0 || k <= limits.max_itemset_size)) {
+  while (!level.empty()) {
     std::vector<std::vector<int>> next_level;
     std::vector<Bitset> next_bitmaps;
     // Prefix join: two frequent (k-1)-itemsets sharing the first k-2 items.
     for (std::size_t a = 0; a < level.size(); ++a) {
-      // Cooperative stop between join groups: everything emitted so far is
-      // frequent, so the truncated result is a valid (partial) collection.
-      if (limits.should_stop && limits.should_stop()) return result;
       for (std::size_t b = a + 1; b < level.size(); ++b) {
         if (!std::equal(level[a].begin(), level[a].end() - 1, level[b].begin(),
                         level[b].end() - 1)) {
@@ -62,9 +58,7 @@ std::vector<FrequentItemset> MineFrequentApriori(const TransactionDb& db,
         candidate.push_back(level[b].back());
         if (k > 2 && !AllSubsetsFrequent(candidate, level)) continue;
         std::size_t sup = level_bitmaps[a].AndCount(db.Column(candidate.back()));
-        if (static_cast<int>(sup) >= limits.min_support_count) {
-          BM_CHECK_MSG(result.size() < limits.max_results,
-                       "apriori result explosion; raise min support");
+        if (static_cast<int>(sup) >= min_support_count) {
           result.push_back(FrequentItemset{candidate, static_cast<int>(sup)});
           next_level.push_back(candidate);
           Bitset bm(level_bitmaps[a].size());

@@ -125,19 +125,18 @@ TEST(ScenarioSpecTest, ParsesDatasetAndMethodConfigAxes) {
   std::optional<ScenarioSpec> spec = ParseScenarioSpec(
       "scale=tiny; seed=9; methods=components,mixed-freq;"
       "num-users=180; item-sample=25;"
-      "axis:num_items=60,80; axis:miner=0,1,2; axis:prune-co-interest=1,0;"
-      "axis:freq-support=0.04",
+      "axis:num_items=60,80; axis:freq-support=0.04,0.08;"
+      "axis:prune-co-interest=1,0",
       &error);
   ASSERT_TRUE(spec) << error;
   ASSERT_TRUE(spec->dataset.num_users);
   EXPECT_EQ(*spec->dataset.num_users, 180);
   ASSERT_TRUE(spec->dataset.item_sample);
   EXPECT_EQ(*spec->dataset.item_sample, 25);
-  ASSERT_EQ(spec->axes.size(), 4u);
+  ASSERT_EQ(spec->axes.size(), 3u);
   EXPECT_EQ(spec->axes[0].kind, AxisKind::kNumItems);
-  EXPECT_EQ(spec->axes[1].kind, AxisKind::kMiner);
+  EXPECT_EQ(spec->axes[1].kind, AxisKind::kFreqSupport);
   EXPECT_EQ(spec->axes[2].kind, AxisKind::kPruneCoInterest);
-  EXPECT_EQ(spec->axes[3].kind, AxisKind::kFreqSupport);
   EXPECT_TRUE(ValidateScenarioSpec(*spec, &error)) << error;
   // The canonical form is a fixpoint of format∘parse for the new keys too.
   std::optional<ScenarioSpec> reparsed =
@@ -146,13 +145,22 @@ TEST(ScenarioSpecTest, ParsesDatasetAndMethodConfigAxes) {
   EXPECT_EQ(FormatScenarioSpec(*reparsed), FormatScenarioSpec(*spec));
 }
 
+TEST(ScenarioSpecTest, MinerIsAnUnknownAxis) {
+  // MAFIA is the only frequent-itemset miner, so there is no engine axis; a
+  // spec naming one is refused at parse time like any other unknown axis.
+  std::string error;
+  EXPECT_FALSE(ParseScenarioSpec(
+      "scale=small; seed=7; methods=pure-freq; axis:miner=0", &error));
+  EXPECT_EQ(error, "unknown axis 'miner'");
+}
+
 TEST(ScenarioSpecTest, ValidateRejectsBadAxisValues) {
   std::string error;
   ScenarioSpec spec = TinySpec();
 
-  spec.axes = {{AxisKind::kMiner, {0, 3}}};  // Only 0..2 are engines.
+  spec.axes = {{AxisKind::kFreqSupport, {0.04, 1.5}}};  // Above 1.
   EXPECT_FALSE(ValidateScenarioSpec(spec, &error));
-  EXPECT_NE(error.find("miner"), std::string::npos);
+  EXPECT_NE(error.find("freq-support"), std::string::npos);
 
   spec.axes = {{AxisKind::kPruneCoInterest, {0.5}}};  // Toggles are 0/1.
   EXPECT_FALSE(ValidateScenarioSpec(spec, &error));

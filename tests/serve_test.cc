@@ -1309,24 +1309,26 @@ TEST(ServeTest, ConcurrentTenantsKeepArtifactByteIsolation) {
   server->Wait();
 }
 
+// The non-empty lines of tests/fixtures/wire/<name>.
+std::vector<std::string> ReadWireFixture(const std::string& name) {
+  const std::string path =
+      std::string(BUNDLEMINE_SOURCE_DIR) + "/tests/fixtures/wire/" + name;
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  std::vector<std::string> lines;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (!line.empty()) lines.push_back(line);
+  }
+  return lines;
+}
+
 // Replays the frozen wire-fixture corpus (tests/fixtures/wire/) captured
 // from the protocol-v1 server: every v1 request must still produce the
 // exact response bytes it produced before multi-tenant markets landed.
 TEST(ServeTest, WireFixtureCorpusReplaysByteIdentical) {
-  auto ReadLines = [](const std::string& path) {
-    std::ifstream in(path);
-    EXPECT_TRUE(in.good()) << "cannot open " << path;
-    std::vector<std::string> lines;
-    std::string line;
-    while (std::getline(in, line)) {
-      if (!line.empty()) lines.push_back(line);
-    }
-    return lines;
-  };
-  const std::string dir =
-      std::string(BUNDLEMINE_SOURCE_DIR) + "/tests/fixtures/wire";
-  const std::vector<std::string> requests = ReadLines(dir + "/requests.jsonl");
-  const std::vector<std::string> expected = ReadLines(dir + "/expected.jsonl");
+  const std::vector<std::string> requests = ReadWireFixture("requests.jsonl");
+  const std::vector<std::string> expected = ReadWireFixture("expected.jsonl");
   ASSERT_FALSE(requests.empty());
   ASSERT_EQ(requests.size(), expected.size());
 
@@ -1341,6 +1343,49 @@ TEST(ServeTest, WireFixtureCorpusReplaysByteIdentical) {
   }
   server->RequestShutdown();
   server->Wait();
+}
+
+// Replays the hostile corpus (tests/fixtures/wire/hostile.jsonl) through
+// the stdio loop, as `bundlemined --stdio` does: requests that once aborted
+// the process. Every request but the final ping must get a typed
+// INVALID_ARGUMENT, and the ping must still answer.
+TEST(ServeTest, HostileCorpusGetsTypedErrorsAndTheServerStaysUp) {
+  const std::vector<std::string> requests = ReadWireFixture("hostile.jsonl");
+  ASSERT_GE(requests.size(), 2u);
+  std::string input;
+  for (const std::string& request : requests) input += request + "\n";
+  std::istringstream in(input);
+  std::ostringstream out;
+  ServeOptions options;
+  options.workers = 2;
+  BundleServer server(options);
+  server.ServeStream(in, out);
+
+  std::map<std::int64_t, JsonValue> by_id;
+  std::istringstream lines(out.str());
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::optional<JsonValue> response = JsonParse(line);
+    ASSERT_TRUE(response) << line;
+    const JsonValue* id = response->FindMember("id");
+    ASSERT_NE(id, nullptr) << line;
+    by_id[id->AsInt()] = *response;
+  }
+  ASSERT_EQ(by_id.size(), requests.size()) << out.str();
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    std::optional<JsonValue> request = JsonParse(requests[i]);
+    ASSERT_TRUE(request) << requests[i];
+    const JsonValue& response = by_id[request->FindMember("id")->AsInt()];
+    if (i + 1 == requests.size()) {
+      EXPECT_EQ(response.FindMember("message")->AsString(), "pong");
+      continue;
+    }
+    EXPECT_FALSE(response.FindMember("ok")->AsBool()) << requests[i];
+    const JsonValue* error = response.FindMember("error");
+    ASSERT_NE(error, nullptr) << requests[i];
+    EXPECT_EQ(error->FindMember("code")->AsString(), "INVALID_ARGUMENT")
+        << requests[i];
+  }
 }
 
 TEST(ServeTest, StreamModeDrivesAFullSessionThroughPipes) {
