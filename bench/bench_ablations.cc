@@ -1,6 +1,6 @@
-// Ablation studies for the design choices called out in DESIGN.md §5 — all
-// run through the scenario engine's method-config axes, so every ablation
-// point is a deterministic grid cell and --json leaves one
+// Ablation studies for the paper's design choices — all run through the
+// scenario engine's method-config axes (README, "Scenario engine"), so every
+// ablation point is a deterministic grid cell and --json leaves one
 // "bundlemine.sweep" artifact per ablation (tagged .levels/.pruning/
 // .oracle/.composition):
 //   1. price-grid resolution T (paper claims 100 buckets suffice);
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     const std::vector<double> levels = {10, 25, 50, 100, 300, 1000, 0};
     ScenarioSpec spec = bench::ScenarioFromFlags(
         flags, "ablation-levels",
-        "price-grid resolution T ablation (DESIGN.md ablation 1)",
+        "price-grid resolution T ablation (ablation 1)",
         ScenarioAxis{AxisKind::kLevels, levels}, {"pure-matching"});
     SweepResult result = bench::RunSweep(engine, spec, flags);
 
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   {
     ScenarioSpec spec = bench::ScenarioFromFlags(
         flags, "ablation-pruning",
-        "Algorithm 1 pruning toggles (DESIGN.md ablations 2-3)",
+        "Algorithm 1 pruning toggles (ablations 2-3)",
         {ScenarioAxis{AxisKind::kPruneCoInterest, {1, 0}},
          ScenarioAxis{AxisKind::kPruneStaleEdges, {1, 0}}},
         {"pure-matching", "mixed-matching"});
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   {
     ScenarioSpec spec = bench::ScenarioFromFlags(
         flags, "ablation-oracle",
-        "exact blossom vs greedy matching oracle (DESIGN.md ablation 4)",
+        "exact blossom vs greedy matching oracle (ablation 4)",
         ScenarioAxis{AxisKind::kMatchingLimit, {4000, 0}},
         {"pure-matching", "mixed-matching"});
     SweepResult result = bench::RunSweep(engine, spec, flags);
@@ -106,8 +106,7 @@ int main(int argc, char** argv) {
   {
     ScenarioSpec spec = bench::ScenarioFromFlags(
         flags, "ablation-composition",
-        "mixed upgrade-constraint composition at gamma = 5 (DESIGN.md "
-        "ablation 5)",
+        "mixed upgrade-constraint composition at gamma = 5 (ablation 5)",
         {ScenarioAxis{AxisKind::kComposition, {0, 1}},
          ScenarioAxis{AxisKind::kGamma, {5}}},
         {"mixed-matching", "mixed-greedy"});

@@ -1,6 +1,7 @@
 // Synthetic Amazon-Books-like ratings generator.
 //
-// Substitution for the UIC Amazon crawl (see DESIGN.md §2). The generator is
+// Substitution for the UIC Amazon crawl the paper experiments on (README,
+// "Architecture", data layer). The generator is
 // calibrated to every marginal the paper reports for its post-filtering data:
 //
 //   * rating-value distribution {1★:3%, 2★:5%, 3★:13%, 4★:29%, 5★:49%};

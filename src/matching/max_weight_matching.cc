@@ -13,8 +13,11 @@ namespace bundlemine {
 
 namespace {
 
-// Scaled weights stay below 2^59, so a slack dual[i] + dual[j] - 2w (duals
-// are bounded by the largest weight) never leaves int64.
+// Scaled weights stay below 2^59, so 2w stays below 2^60, and no dual exceeds
+// the largest 2w plus 1: a matched vertex's dual is capped by its tight edge,
+// and a warm restart raises a dual only until one edge is tight (plus 1 for
+// parity) or moves a dissolved blossom's dual onto leaves of tight edges. So
+// a slack dual[i] + dual[j] + 2·Σz - 2w never leaves int64.
 constexpr std::int64_t kMaxScaledWeight = std::int64_t{1} << 59;
 
 // Sparse-core shape (see the header): each vertex's kCoreDegree heaviest
@@ -54,22 +57,8 @@ class BlossomSearch {
         allowedge_(w2_.size(), 0),
         bestedgeto_(2 * Idx(n), -1),
         bestslackto_(2 * Idx(n), 0) {
-    // CSR adjacency: vertex v's arcs carry (neighbour, neighbour's endpoint,
-    // 2w) inline, in edge-id order, so the scan reads one contiguous run.
-    arc_begin_.assign(Idx(n) + 1, 0);
-    for (int p : endpoint_) ++arc_begin_[Idx(p) + 1];
-    for (std::size_t v = 0; v < Idx(n); ++v) arc_begin_[v + 1] += arc_begin_[v];
-    arcs_.resize(endpoint_.size());
-    std::vector<int> fill(arc_begin_.begin(), arc_begin_.end() - 1);
-    std::int64_t max_w2 = 0;
-    for (int p = 0; p < static_cast<int>(endpoint_.size()); p += 2) {
-      const int i = endpoint_[Idx(p)];
-      const int j = endpoint_[Idx(p) + 1];
-      const std::int64_t w2k = w2_[Idx(p >> 1)];
-      arcs_[Idx(fill[Idx(i)]++)] = Arc{j, p + 1, w2k};
-      arcs_[Idx(fill[Idx(j)]++)] = Arc{i, p, w2k};
-      max_w2 = std::max(max_w2, w2k);
-    }
+    BuildArcs();
+    const std::int64_t max_w2 = w2_.empty() ? 0 : *std::max_element(w2_.begin(), w2_.end());
     for (int v = 0; v < n; ++v) {
       inblossom_[Idx(v)] = v;
       blossombase_[Idx(v)] = v;
@@ -78,10 +67,43 @@ class BlossomSearch {
     for (int b = 2 * n - 1; b >= n; --b) unusedblossoms_.push_back(b);
   }
 
-  // Runs stages until no augmenting path improves the weight, checks the
+  // Warm restart: appends edges (existing edge ids stay) and repairs the
+  // duals so that the next Run() resumes from this matching. Each new edge
+  // with negative slack gets one endpoint's dual raised until it is tight,
+  // an exposed endpoint first. A raised vertex leaves every blossom first
+  // (DissolveAround) and loses its mate, whose edge is no longer tight.
+  // Finally every exposed vertex with a positive dual, the roots of the next
+  // search, is raised to an even dual: trees of one parity keep the halved
+  // outer-outer slacks of Stage() integral.
+  void AddEdges(const std::vector<int>& endpoint, const std::vector<std::int64_t>& w2) {
+    const int first = static_cast<int>(w2_.size());
+    endpoint_.insert(endpoint_.end(), endpoint.begin(), endpoint.end());
+    w2_.insert(w2_.end(), w2.begin(), w2.end());
+    allowedge_.resize(w2_.size());
+    BuildArcs();
+    for (int k = first; k < static_cast<int>(w2_.size()); ++k) {
+      int i = endpoint_[2 * Idx(k)];
+      int j = endpoint_[2 * Idx(k) + 1];
+      if (FinalSlack(i, j, w2_[Idx(k)]) >= 0) continue;
+      if (mate_[Idx(i)] != -1 && mate_[Idx(j)] == -1) std::swap(i, j);
+      DissolveAround(i);
+      const std::int64_t slack = FinalSlack(i, j, w2_[Idx(k)]);
+      if (slack < 0) Raise(i, -slack);
+    }
+    for (int v = 0; v < n_; ++v) {
+      if (mate_[Idx(v)] == -1 && dual_[Idx(v)] % 2 != 0) {
+        DissolveAround(v);
+        Raise(v, dual_[Idx(v)] % 2);
+      }
+    }
+  }
+
+  // Runs stages until no exposed vertex has a positive dual, checks the
   // optimality conditions on this search's edges, and returns the matching.
+  // Each stage roots a tree at every such vertex and ends with one change
+  // that leaves fewer of them, so at most n + 1 stages run.
   MatchingResult Run() {
-    for (int stage = 0; stage < n_; ++stage) {
+    for (int stage = 0; stage <= n_; ++stage) {
       std::fill(label_.begin(), label_.end(), kFree);
       std::fill(bestedge_.begin(), bestedge_.end(), -1);
       for (std::size_t b = static_cast<std::size_t>(n_); b < blossombestedges_.size(); ++b) {
@@ -90,11 +112,13 @@ class BlossomSearch {
       std::fill(allowedge_.begin(), allowedge_.end(), 0);
       queue_.clear();
       for (int v = 0; v < n_; ++v) {
-        if (mate_[Idx(v)] == -1 && label_[Idx(inblossom_[Idx(v)])] == kFree) {
+        if (mate_[Idx(v)] == -1 && dual_[Idx(v)] > 0 &&
+            label_[Idx(inblossom_[Idx(v)])] == kFree) {
           AssignLabel(v, kOuter, -1);
         }
       }
-      if (!Augmented()) break;
+      if (queue_.empty()) break;
+      Stage();
       // Blossoms whose dual reached zero may go: expanding them now keeps
       // the blossom count bounded without changing the optimum.
       for (int b = n_; b < 2 * n_; ++b) {
@@ -162,6 +186,51 @@ class BlossomSearch {
   };
 
   static std::size_t Idx(int i) { return static_cast<std::size_t>(i); }
+
+  // CSR adjacency: vertex v's arcs carry (neighbour, neighbour's endpoint,
+  // 2w) inline, in edge-id order, so the scan reads one contiguous run.
+  void BuildArcs() {
+    arc_begin_.assign(Idx(n_) + 1, 0);
+    for (int p : endpoint_) ++arc_begin_[Idx(p) + 1];
+    for (std::size_t v = 0; v < Idx(n_); ++v) arc_begin_[v + 1] += arc_begin_[v];
+    arcs_.resize(endpoint_.size());
+    std::vector<int> fill(arc_begin_.begin(), arc_begin_.end() - 1);
+    for (int p = 0; p < static_cast<int>(endpoint_.size()); p += 2) {
+      const int i = endpoint_[Idx(p)];
+      const int j = endpoint_[Idx(p) + 1];
+      const std::int64_t w2k = w2_[Idx(p >> 1)];
+      arcs_[Idx(fill[Idx(i)]++)] = Arc{j, p + 1, w2k};
+      arcs_[Idx(fill[Idx(j)]++)] = Arc{i, p, w2k};
+    }
+  }
+
+  // Expands every blossom holding vertex v, outermost first, moving each
+  // blossom's dual onto its leaves: an edge inside keeps its slack, and the
+  // one matched edge leaving it, at its base, loses tightness and is
+  // unmatched.
+  void DissolveAround(int v) {
+    while (inblossom_[Idx(v)] != v) {
+      const int b = inblossom_[Idx(v)];
+      const int base = blossombase_[Idx(b)];
+      const std::int64_t z = dual_[Idx(b)];
+      ForEachLeaf(b, [this, z](int leaf) { dual_[Idx(leaf)] += z; });
+      dual_[Idx(b)] = 0;
+      ExpandBlossom(b, /*endstage=*/true);
+      if (z > 0) Unmatch(base);
+    }
+  }
+
+  // Raises top-level vertex v's dual by d, which leaves v exposed.
+  void Raise(int v, std::int64_t d) {
+    dual_[Idx(v)] += d;
+    Unmatch(v);
+  }
+
+  void Unmatch(int v) {
+    if (mate_[Idx(v)] == -1) return;
+    mate_[Idx(endpoint_[Idx(mate_[Idx(v)])])] = -1;
+    mate_[Idx(v)] = -1;
+  }
 
   std::int64_t Slack(int k) const {
     return dual_[Idx(endpoint_[2 * Idx(k)])] + dual_[Idx(endpoint_[2 * Idx(k) + 1])] -
@@ -434,32 +503,33 @@ class BlossomSearch {
     blossombase_[Idx(b)] = blossombase_[Idx(childs[0])];
   }
 
-  // Augments along the path through edge k between two outer trees.
-  void AugmentMatching(int k) {
-    const int ends[2][2] = {{endpoint_[2 * Idx(k)], 2 * k + 1},
-                            {endpoint_[2 * Idx(k) + 1], 2 * k}};
-    for (const auto& [start, start_p] : ends) {
-      int s = start;
-      int p = start_p;
-      while (true) {
-        int bs = inblossom_[Idx(s)];
-        if (bs >= n_) AugmentBlossom(bs, s);
-        mate_[Idx(s)] = p;
-        if (labelend_[Idx(bs)] == -1) break;
-        int t = endpoint_[Idx(labelend_[Idx(bs)])];
-        int bt = inblossom_[Idx(t)];
-        s = endpoint_[Idx(labelend_[Idx(bt)])];
-        int j = endpoint_[Idx(labelend_[Idx(bt)] ^ 1)];
-        if (bt >= n_) AugmentBlossom(bt, j);
-        mate_[Idx(j)] = labelend_[Idx(bt)];
-        p = labelend_[Idx(bt)] ^ 1;
-      }
+  // Matches vertex s to endpoint p (-1: leaves s exposed) and flips the
+  // alternating path from s back to its tree's root.
+  void AugmentFrom(int s, int p) {
+    while (true) {
+      int bs = inblossom_[Idx(s)];
+      if (bs >= n_) AugmentBlossom(bs, s);
+      mate_[Idx(s)] = p;
+      if (labelend_[Idx(bs)] == -1) break;
+      int t = endpoint_[Idx(labelend_[Idx(bs)])];
+      int bt = inblossom_[Idx(t)];
+      s = endpoint_[Idx(labelend_[Idx(bt)])];
+      int j = endpoint_[Idx(labelend_[Idx(bt)] ^ 1)];
+      if (bt >= n_) AugmentBlossom(bt, j);
+      mate_[Idx(j)] = labelend_[Idx(bt)];
+      p = labelend_[Idx(bt)] ^ 1;
     }
   }
 
+  // Augments along the path through edge k between two outer trees.
+  void AugmentMatching(int k) {
+    AugmentFrom(endpoint_[2 * Idx(k)], 2 * k + 1);
+    AugmentFrom(endpoint_[2 * Idx(k) + 1], 2 * k);
+  }
+
   // One stage: grows the alternating forest and adjusts duals until an
-  // augmentation (true) or until the vertex duals reach zero (false).
-  bool Augmented() {
+  // augmentation or until an outer vertex's dual reaches zero.
+  void Stage() {
     while (true) {
       while (!queue_.empty()) {
         int v = queue_.back();
@@ -478,13 +548,19 @@ class BlossomSearch {
             if (kslack <= 0) allowedge_[Idx(k)] = 1;
           }
           if (allowedge_[Idx(k)]) {
-            if (label_[Idx(bw)] == kFree) {
+            if (label_[Idx(bw)] == kFree && mate_[Idx(blossombase_[Idx(bw)])] == -1) {
+              // An exposed vertex at dual 0 (only restarts leave one outside
+              // the forest) ends an augmenting path from v's root.
+              labelend_[Idx(bw)] = -1;
+              AugmentMatching(k);
+              return;
+            } else if (label_[Idx(bw)] == kFree) {
               AssignLabel(w, kInner, arc.p ^ 1);
             } else if (label_[Idx(bw)] == kOuter) {
               int base = ScanBlossom(v, w);
               if (base < 0) {
                 AugmentMatching(k);
-                return true;
+                return;
               }
               AddBlossom(base, k);
             } else if (label_[Idx(w)] == kFree) {
@@ -504,9 +580,14 @@ class BlossomSearch {
       }
 
       // No tight edge left: pick the smallest dual change that makes
-      // progress. Type 1 (a vertex dual reaches zero) ends the search.
+      // progress. Type 1: an outer vertex's dual reaches zero.
       int deltatype = 1;
-      std::int64_t delta = *std::min_element(dual_.begin(), dual_.begin() + n_);
+      std::int64_t delta = std::numeric_limits<std::int64_t>::max();
+      for (int v = 0; v < n_; ++v) {
+        if (label_[Idx(inblossom_[Idx(v)])] == kOuter) {
+          delta = std::min(delta, dual_[Idx(v)]);
+        }
+      }
       int deltaedge = -1;
       int deltablossom = -1;
       for (int v = 0; v < n_; ++v) {
@@ -557,7 +638,19 @@ class BlossomSearch {
         if (bestedge_[x] != -1) bestslack_[x] = Slack(bestedge_[x]);
       }
 
-      if (deltatype == 1) return false;
+      if (deltatype == 1) {
+        // A root at dual 0 stays exposed and ends the stage; in a cold
+        // search every root gets there at once, which ends the search. Any
+        // other outer vertex at dual 0 takes its root's place as exposed.
+        int zero = -1;
+        for (int v = 0; v < n_; ++v) {
+          if (dual_[Idx(v)] != 0 || label_[Idx(inblossom_[Idx(v)])] != kOuter) continue;
+          if (mate_[Idx(v)] == -1) return;
+          if (zero == -1) zero = v;
+        }
+        AugmentFrom(zero, -1);
+        return;
+      }
       if (deltatype == 4) {
         ExpandBlossom(deltablossom, /*endstage=*/false);
         continue;
@@ -668,40 +761,45 @@ MatchingResult MaxWeightMatcher::Solve() {
   BM_CHECK_LE(endpoint.size(), static_cast<std::size_t>(std::numeric_limits<int>::max()));
 
   // Solve on the sparse core, then price every edge left out under the
-  // final duals. A violated edge joins the core for a cold re-solve; none
-  // violated proves the core's matching optimal on the whole graph. A core
-  // over 1/kCoreShare of the edges is all of them.
+  // final duals. Violated edges join the core and the search restarts warm
+  // from its matching and duals; none violated proves the core's matching
+  // optimal on the whole graph. A core over 1/kCoreShare of the edges is all
+  // of them, solved cold.
   const std::size_t num_edges = w2.size();
   std::vector<std::uint8_t> in_core = HeaviestEdges(n_, endpoint, w2);
   auto core_size = static_cast<std::size_t>(std::count(in_core.begin(), in_core.end(), 1));
+  std::vector<int> added_endpoint;  // Core edges the search does not have yet.
+  std::vector<std::int64_t> added_w2;
+  for (std::size_t k = 0; k < num_edges; ++k) {
+    if (!in_core[k]) continue;
+    added_endpoint.insert(added_endpoint.end(), {endpoint[2 * k], endpoint[2 * k + 1]});
+    added_w2.push_back(w2[k]);
+  }
+  std::optional<BlossomSearch> search;
   while (true) {
     if (core_size * kCoreShare > num_edges) {
       std::fill(in_core.begin(), in_core.end(), 1);
-      core_size = num_edges;
+      search.emplace(n_, endpoint, w2);
+    } else if (!search) {
+      search.emplace(n_, std::move(added_endpoint), std::move(added_w2));
+    } else {
+      search->AddEdges(added_endpoint, added_w2);
     }
-    std::vector<int> core_endpoint;
-    std::vector<std::int64_t> core_w2;
-    core_endpoint.reserve(2 * core_size);
-    core_w2.reserve(core_size);
+    MatchingResult result = search->Run();
+    added_endpoint.clear();
+    added_w2.clear();
     for (std::size_t k = 0; k < num_edges; ++k) {
-      if (!in_core[k]) continue;
-      core_endpoint.insert(core_endpoint.end(), {endpoint[2 * k], endpoint[2 * k + 1]});
-      core_w2.push_back(w2[k]);
-    }
-    BlossomSearch search(n_, std::move(core_endpoint), std::move(core_w2));
-    MatchingResult result = search.Run();
-    std::size_t violations = 0;
-    for (std::size_t k = 0; k < num_edges; ++k) {
-      if (!in_core[k] && search.FinalSlack(endpoint[2 * k], endpoint[2 * k + 1], w2[k]) < 0) {
+      if (!in_core[k] && search->FinalSlack(endpoint[2 * k], endpoint[2 * k + 1], w2[k]) < 0) {
         in_core[k] = 1;
-        ++violations;
+        added_endpoint.insert(added_endpoint.end(), {endpoint[2 * k], endpoint[2 * k + 1]});
+        added_w2.push_back(w2[k]);
       }
     }
-    if (violations == 0) {
+    if (added_w2.empty()) {
       result.total_weight = static_cast<double>(result.total_weight_scaled) / scale_;
       return result;
     }
-    core_size += violations;
+    core_size += added_w2.size();
   }
 }
 

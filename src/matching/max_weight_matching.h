@@ -1,8 +1,9 @@
 // Maximum-weight matching in general graphs (Edmonds' blossom algorithm).
 //
-// This is the library's substitute for LEMON's matching module (DESIGN.md §2):
-// the paper reduces optimal 2-sized bundle configuration to maximum-weight
-// matching and re-runs a matching per iteration of Algorithm 1.
+// This is the library's substitute for LEMON's matching module (README,
+// "Architecture", core + matching): the paper reduces optimal 2-sized bundle
+// configuration to maximum-weight matching and re-runs a matching per
+// iteration of Algorithm 1.
 //
 // Implementation: the edge-list primal-dual blossom algorithm (Galil 1986,
 // after Van Rantwijk's mwmatching). Each stage grows alternating trees over
@@ -18,9 +19,14 @@
 // Sparse core and certificate: Solve() matches on the union of each vertex's
 // 8 heaviest edges (ties to the lower canonical edge id), then prices every
 // other edge under the final LP duals in exact integer units. No negative
-// slack proves the matching optimal on the whole graph; violating edges join
-// the core for a cold re-solve. A core over 1/8 of the edges is all of them.
-// The core's own optimality conditions are checked on every solve.
+// slack proves the matching optimal on the whole graph. Violating edges join
+// the core, and the search restarts warm from its matching, duals and
+// blossoms (the restart of Galil 1986 and of LEMON's MaxWeightedMatching):
+// each new edge is made tight by raising one endpoint's dual, which unmatches
+// that endpoint and dissolves the blossoms holding it, and the search then
+// runs until no exposed vertex keeps a positive dual. A core over 1/8 of the
+// edges is all of them, solved cold. The core's own optimality conditions
+// are checked after every pass, warm ones included.
 //
 // Double-valued revenues are converted through a fixed-point scale (see
 // `MaxWeightMatcher::kDefaultScale`); exactness against a brute-force oracle
@@ -64,7 +70,9 @@ class MaxWeightMatcher {
   void AddEdge(int u, int v, double weight);
 
   /// Adds an edge with an exact integer weight (already in scaled units).
-  /// Weights must stay below 2^59 so dual arithmetic cannot overflow.
+  /// Weights must stay below 2^59 so dual arithmetic cannot overflow; that
+  /// holds through the warm restarts of Solve(), whose raised duals stay
+  /// within twice the largest weight plus 1.
   void AddEdgeScaled(int u, int v, std::int64_t weight);
 
   /// Computes a maximum-weight matching. May be called once per instance.

@@ -1,6 +1,7 @@
 // Auxiliary matchers: an exact brute-force oracle (bitmask DP) for testing
 // the blossom implementation, and a greedy 1/2-approximate matcher used as a
-// scalability fallback and in the matching-oracle ablation (DESIGN.md §5).
+// scalability fallback and in the matching-oracle ablation (README, "Scenario
+// engine": `matching-limit` 0; ablation 4 of bench/bench_ablations.cc).
 
 #ifndef BUNDLEMINE_MATCHING_SIMPLE_MATCHERS_H_
 #define BUNDLEMINE_MATCHING_SIMPLE_MATCHERS_H_

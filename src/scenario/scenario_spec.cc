@@ -524,7 +524,7 @@ std::vector<ScenarioSpec> MakeBuiltins() {
 
   ScenarioSpec pruning = MakePreset(
       "ablation-pruning",
-      "Algorithm 1 pruning toggles through the cell grid (DESIGN.md ablations 2-3)",
+      "Algorithm 1 pruning toggles through the cell grid (bench_ablations 2-3)",
       {"pure-matching", "mixed-matching"},
       {AxisKind::kPruneCoInterest, {1, 0}});
   pruning.axes.push_back({AxisKind::kPruneStaleEdges, {1, 0}});

@@ -300,28 +300,128 @@ TEST(MaxWeightMatcher, SparseCoreRepairEqualsDenseOracleOnDenseGraphs) {
   }
 }
 
-// Vertices 0 and 1 each have 8 edges of weight 20 to decoys 2..9, so their
-// edge 0-1 (weight 15) ranks 9th at both ends and misses the core. Each
-// decoy has a private partner at weight 100, so every optimum keeps the
-// decoys there and matches 0-1. A 160-vertex filler clique keeps the core
+// Gives every vertex in `ends` an edge of weight w to each of the 8 decoys
+// first..first+7, each held by a private partner first+8..first+15 at weight
+// 100. Every optimum keeps the decoys there, and an edge lighter than w at an
+// end ranks 9th or lower there, so it joins the core only if the other end
+// ranks it in its top 8.
+void AddDecoys(const std::vector<int>& ends, int first, double w,
+               std::vector<WeightedEdge>* edges) {
+  for (int d = first; d < first + 8; ++d) {
+    for (int end : ends) edges->push_back(WeightedEdge{end, d, w});
+    edges->push_back(WeightedEdge{d, d + 8, 100.0});
+  }
+}
+
+// A clique on vertices first..n-1 with weights in [1, 2]: it keeps the core
 // under an eighth of the edges, so the core is really sparse.
+void AddFillerClique(int first, int n, std::vector<WeightedEdge>* edges) {
+  for (int u = first; u < n; ++u) {
+    for (int v = u + 1; v < n; ++v) {
+      edges->push_back(WeightedEdge{u, v, 1.0 + ((u * 31 + v * 17) % 101) / 100.0});
+    }
+  }
+}
+
+// Edge 0-1 (weight 15) ranks 9th at both ends behind decoys 2..9 and misses
+// the core; every optimum matches it.
 TEST(MaxWeightMatcher, RepairAddsOptimalEdgeRankedBelowEighthAtBothEnds) {
   const int n = 18 + 160;
   std::vector<WeightedEdge> edges = {{0, 1, 15.0}};
-  for (int d = 2; d < 10; ++d) {
-    edges.push_back(WeightedEdge{0, d, 20.0});
-    edges.push_back(WeightedEdge{1, d, 20.0});
-    edges.push_back(WeightedEdge{d, d + 8, 100.0});
-  }
-  for (int u = 18; u < n; ++u) {
-    for (int v = u + 1; v < n; ++v) {
-      edges.push_back(WeightedEdge{u, v, 1.0 + ((u * 31 + v * 17) % 101) / 100.0});
-    }
-  }
+  AddDecoys({0, 1}, 2, 20.0, &edges);
+  AddFillerClique(18, n, &edges);
   const MatchingResult r = SolveBlossom(n, edges);
   EXPECT_EQ(r.mate[0], 1);
   for (int d = 2; d < 10; ++d) EXPECT_EQ(r.mate[static_cast<std::size_t>(d)], d + 8);
   Rng rng(5);
+  ExpectMatchesDenseOracle(n, edges, &rng, 0);
+}
+
+// The warm restart after a repair pass, one case per branch. Each graph
+// takes at least one repair pass.
+
+// Triangle 1-2-3 (weight 30) with the pendant edge 0-1 ends the core solve
+// as a blossom with a positive dual, vertex 2 matched inside it. The missed
+// edge 2-4 joins two matched vertices, so the restart dissolves the blossom
+// before it raises vertex 2. The optimum is 2-4 and 1-3.
+TEST(MaxWeightMatcher, RestartDissolvesBlossomAroundViolatingEdge) {
+  const int n = 22 + 160;
+  std::vector<WeightedEdge> edges = {{1, 2, 30.0}, {2, 3, 30.0}, {1, 3, 30.0},
+                                     {0, 1, 20.0}, {2, 4, 40.0}, {4, 5, 12.0}};
+  AddDecoys({2, 4}, 6, 50.0, &edges);
+  AddFillerClique(22, n, &edges);
+  const MatchingResult r = SolveBlossom(n, edges);
+  EXPECT_EQ(r.mate[2], 4);
+  EXPECT_EQ(r.mate[1], 3);
+  EXPECT_EQ(r.mate[0], -1);
+  EXPECT_EQ(r.mate[5], -1);
+  Rng rng(6);
+  ExpectMatchesDenseOracle(n, edges, &rng, 0);
+}
+
+// The core matches 0-2 and 1-3; the missed edge 0-1 joins two matched
+// vertices, so the raised end loses its mate and the other end's mate must
+// give way. Weights one scaled unit off the dollar grid leave odd duals, so
+// the restart also evens out its roots' parity.
+TEST(MaxWeightMatcher, RestartRaisesOneOfTwoMatchedEnds) {
+  const double unit = 1.0 / MaxWeightMatcher::kDefaultScale;
+  const int n = 20 + 160;
+  std::vector<WeightedEdge> edges = {
+      {0, 1, 40.0 + unit}, {0, 2, 12.0}, {1, 3, 12.0 + 3 * unit}};
+  AddDecoys({0, 1}, 4, 50.0, &edges);
+  AddFillerClique(20, n, &edges);
+  const MatchingResult r = SolveBlossom(n, edges);
+  EXPECT_EQ(r.mate[0], 1);
+  EXPECT_EQ(r.mate[2], -1);
+  EXPECT_EQ(r.mate[3], -1);
+  Rng rng(7);
+  ExpectMatchesDenseOracle(n, edges, &rng, 0);
+}
+
+// Vertex 0 ends the core solve exposed at dual 0 and vertex 1 matched to 2;
+// the restart raises 0, whose tree then pushes 2 out.
+TEST(MaxWeightMatcher, RestartRaisesExposedEndAtDualZero) {
+  const int n = 20 + 160;
+  std::vector<WeightedEdge> edges = {{0, 1, 40.0}, {1, 2, 12.0}};
+  AddDecoys({0, 1}, 4, 50.0, &edges);
+  AddFillerClique(20, n, &edges);
+  const MatchingResult r = SolveBlossom(n, edges);
+  EXPECT_EQ(r.mate[0], 1);
+  EXPECT_EQ(r.mate[2], -1);
+  Rng rng(8);
+  ExpectMatchesDenseOracle(n, edges, &rng, 0);
+}
+
+// Edges 0-1, 0-2 and 0-3 all miss the core and all violate, so the restart
+// raises vertex 0 three times; only the heaviest may stay matched.
+TEST(MaxWeightMatcher, RestartRepairsSeveralViolatingEdgesAtOneVertex) {
+  const int n = 20 + 160;
+  std::vector<WeightedEdge> edges = {{0, 1, 15.0}, {0, 2, 16.0}, {0, 3, 17.0}};
+  AddDecoys({0, 1, 2, 3}, 4, 20.0, &edges);
+  AddFillerClique(20, n, &edges);
+  const MatchingResult r = SolveBlossom(n, edges);
+  EXPECT_EQ(r.mate[0], 3);
+  EXPECT_EQ(r.mate[1], -1);
+  EXPECT_EQ(r.mate[2], -1);
+  Rng rng(9);
+  ExpectMatchesDenseOracle(n, edges, &rng, 0);
+}
+
+// A chain of three repair passes: the core matches 0-2, 1-3 and 4-5. Pass 1
+// adds 0-1, which frees 2 and 3; pass 2 adds 2-4, which frees 5; pass 3 adds
+// 5-3. Edges 0-1, 2-4 and 3-5 rank below 8 decoys at both ends.
+TEST(MaxWeightMatcher, RepairChainTakesThreeWarmRestarts) {
+  const int n = 38 + 160;
+  std::vector<WeightedEdge> edges = {{0, 1, 40.0}, {0, 2, 12.0}, {1, 3, 12.0},
+                                     {2, 4, 10.0}, {4, 5, 11.5}, {3, 5, 2.0}};
+  AddDecoys({0, 1}, 6, 50.0, &edges);
+  AddDecoys({2, 3, 4, 5}, 22, 11.0, &edges);
+  AddFillerClique(38, n, &edges);
+  const MatchingResult r = SolveBlossom(n, edges);
+  EXPECT_EQ(r.mate[0], 1);
+  EXPECT_EQ(r.mate[2], 4);
+  EXPECT_EQ(r.mate[3], 5);
+  Rng rng(10);
   ExpectMatchesDenseOracle(n, edges, &rng, 0);
 }
 
