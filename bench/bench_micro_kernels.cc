@@ -194,6 +194,43 @@ void BM_MixedMergeGainWorkspace(benchmark::State& state) {
 }
 BENCHMARK(BM_MixedMergeGainWorkspace)->Arg(16)->Arg(128)->Arg(1024);
 
+// A mixed FreqItemset candidate: MultiMergeGain over the audiences of the
+// small profile's state.range(0) most-rated items (seed 1), each priced
+// standalone, through a reused workspace. Items processed are side entries.
+void BM_MultiMergeGain(benchmark::State& state) {
+  const WtpMatrix wtp = WtpMatrix::FromRatings(
+      GenerateAmazonLike(ProfileByName("small", 1)), 1.25);
+  std::vector<ItemId> items(static_cast<std::size_t>(wtp.num_items()));
+  for (ItemId i = 0; i < wtp.num_items(); ++i) {
+    items[static_cast<std::size_t>(i)] = i;
+  }
+  std::sort(items.begin(), items.end(), [&](ItemId a, ItemId b) {
+    const std::size_t na = wtp.ItemUsers(a).size();
+    const std::size_t nb = wtp.ItemUsers(b).size();
+    return na != nb ? na > nb : a < b;
+  });
+  const std::size_t m = static_cast<std::size_t>(state.range(0));
+  OfferPricer item_pricer(AdoptionModel::Step(), 100);
+  MixedPricer mixed(AdoptionModel::Step(), 100);
+  std::vector<SparseWtpVector> raw(m);
+  std::vector<SparseWtpVector> pay(m);
+  std::vector<MergeSide> sides(m);
+  std::int64_t entries = 0;
+  for (std::size_t j = 0; j < m; ++j) {
+    raw[j] = wtp.ItemVector(items[j]);
+    const double price = item_pricer.PriceOffer(raw[j], 1.0).price;
+    pay[j] = mixed.BuildStandalonePayments(raw[j], 1.0, price);
+    sides[j] = MergeSide{&raw[j], 1.0, price, &pay[j]};
+    entries += static_cast<std::int64_t>(raw[j].nnz() + pay[j].nnz());
+  }
+  PricingWorkspace ws;
+  LoopCountingAllocs(state, [&] {
+    benchmark::DoNotOptimize(mixed.MultiMergeGain(sides, 1.05, &ws).gain);
+  });
+  state.SetItemsProcessed(state.iterations() * entries);
+}
+BENCHMARK(BM_MultiMergeGain)->Arg(2)->Arg(8)->Arg(22);
+
 void BM_SparseMerge(benchmark::State& state) {
   Rng rng(5);
   SparseWtpVector a = RandomAudience(&rng, static_cast<int>(state.range(0)));

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 
+#include "core/offer_ops.h"
 #include "core/resolve_hints.h"
 #include "mining/mafia.h"
 #include "mining/transactions.h"
@@ -100,42 +101,52 @@ BundleSolution FreqItemsetBundler::Solve(const BundleConfigProblem& problem,
           ? hints->itemsets(limits.min_support_count, mine)
           : mine();
 
-  // Evaluate candidates (size ≥ 2 only; size-1 candidates are the items).
-  std::vector<Candidate> candidates;
+  // Evaluate candidates (size ≥ 2 only; size-1 candidates are the items)
+  // across the context's workers, gathered in itemset order. A deadline
+  // stops evaluation between blocks; the configuration is then assembled
+  // from what has been priced so far (plus all singletons) and stays
+  // structurally valid.
+  std::vector<const FrequentItemset*> sized;
   for (const FrequentItemset& fi : *itemsets) {
-    if (context.DeadlineExceeded()) {
-      // Stop evaluating further itemsets; the configuration is assembled
-      // from what has been priced so far (plus all singletons) and stays
-      // structurally valid.
-      context.stats().deadline_hit = true;
-      break;
+    const int size = static_cast<int>(fi.items.size());
+    if (size >= 2 && size <= k && BundleScale(size, problem.theta) > 0.0) {
+      sized.push_back(&fi);
     }
-    if (static_cast<int>(fi.items.size()) < 2 ||
-        static_cast<int>(fi.items.size()) > k) {
-      continue;
-    }
-    double scale = BundleScale(static_cast<int>(fi.items.size()), problem.theta);
-    if (scale <= 0.0) continue;
-
-    Candidate c;
-    c.items = Bundle(std::vector<ItemId>(fi.items.begin(), fi.items.end()));
-    ++context.stats().pairs_evaluated;
+  }
+  auto evaluate = [&](std::size_t index, PricingWorkspace* w, Candidate* c) {
+    const FrequentItemset& fi = *sized[index];
+    const double scale =
+        BundleScale(static_cast<int>(fi.items.size()), problem.theta);
     if (pure) {
-      // Merge the component audiences; the mixed path prices the items'
-      // vectors as separate sides and never needs the merged one.
-      SparseWtpVector raw;
-      for (int item : fi.items) {
-        raw = SparseWtpVector::Merge(raw, item_raw[static_cast<std::size_t>(item)]);
+      // Sum the component audiences per consumer of their support union,
+      // in item order, and price the positive effective WTPs in ascending
+      // user order: the values PriceOffer stages from the merged bundle
+      // vector. The mixed path prices the items' vectors as separate sides.
+      auto item_vector = [&](std::size_t j) -> const SparseWtpVector& {
+        return item_raw[static_cast<std::size_t>(fi.items[j])];
+      };
+      w->StageUnion(fi.items.size(), item_vector);
+      std::vector<double>& raw = w->consumer_state;
+      raw.assign(w->users.size(), 0.0);
+      for (std::size_t j = 0; j < fi.items.size(); ++j) {
+        for (const WtpEntry& e : item_vector(j).entries()) {
+          raw[static_cast<std::size_t>(w->RowOf(e.id))] += e.w;
+        }
       }
-      PricedOffer priced = pricer.PriceOffer(raw, scale, &ws);
+      w->ReleaseUnion();
+      w->values.clear();
+      for (double v : raw) {
+        if (scale * v > 0.0) w->values.push_back(scale * v);
+      }
+      PricedOffer priced = pricer.PriceEffectiveValues(w->values, w);
       double parts = 0.0;
       for (int item : fi.items) {
         parts += item_priced[static_cast<std::size_t>(item)].revenue;
       }
-      c.gain = priced.revenue - parts;
-      c.price = priced.price;
-      c.revenue = priced.revenue;
-      c.buyers = priced.expected_buyers;
+      c->gain = priced.revenue - parts;
+      c->price = priced.price;
+      c->revenue = priced.revenue;
+      c->buyers = priced.expected_buyers;
     } else {
       std::vector<MergeSide> sides;
       sides.reserve(fi.items.size());
@@ -144,14 +155,23 @@ BundleSolution FreqItemsetBundler::Solve(const BundleConfigProblem& problem,
         sides.push_back(MergeSide{&item_raw[idx], 1.0, item_priced[idx].price,
                                   &item_payments[idx]});
       }
-      MergeGainResult r = mixed.MultiMergeGain(sides, scale, &ws);
-      if (!r.feasible) continue;
-      c.gain = r.gain;
-      c.price = r.bundle_price;
-      c.buyers = r.expected_adopters;
+      MergeGainResult r = mixed.MultiMergeGain(sides, scale, w);
+      if (!r.feasible) return false;
+      c->gain = r.gain;
+      c->price = r.bundle_price;
+      c->revenue = 0.0;
+      c->buyers = r.expected_adopters;
     }
-    if (c.gain > kGainEpsilon) candidates.push_back(std::move(c));
-  }
+    return c->gain > kGainEpsilon;
+  };
+  std::vector<Candidate> candidates;
+  EvaluateInBlocks<Candidate>(
+      context, sized.size(), evaluate,
+      [&](std::size_t index, const Candidate& c) {
+        candidates.push_back(c);
+        candidates.back().items = Bundle(std::vector<ItemId>(
+            sized[index]->items.begin(), sized[index]->items.end()));
+      });
 
   // Greedy selection by absolute gain with overlap removal.
   std::sort(candidates.begin(), candidates.end(),

@@ -29,14 +29,20 @@ struct Offer {
   int child2 = -1;
 };
 
-// Heap entry: candidate merge of offers a and b (by stable offer index).
+// An evaluated candidate merge of offers a and b (by stable offer index).
+struct PairOutcome {
+  double gain = 0.0;
+  double price = 0.0;
+  double revenue = 0.0;  // Pure: standalone revenue of the merged offer.
+  double buyers = 0.0;
+};
+
+// Heap entry: the key of a candidate merge. The popped live pair is priced
+// again for its outcome, so the heap holds 16 bytes per candidate.
 struct HeapEntry {
   double gain;
   int a;
   int b;
-  double price;
-  double revenue;
-  double buyers;
 
   bool operator<(const HeapEntry& other) const {
     if (gain != other.gain) return gain < other.gain;  // Max-heap by gain.
@@ -84,56 +90,66 @@ BundleSolution GreedyBundler::Solve(const BundleConfigProblem& problem,
   solution.trace.push_back(
       IterationStat{0, total, timer.Seconds(), static_cast<int>(offers.size())});
 
-  auto evaluate = [&](int ai, int bi, HeapEntry* entry) -> bool {
-    ++context.stats().pairs_evaluated;
+  // Prices merging offers a and b in workspace `w`; false when the merge is
+  // oversize or gains nothing. Reads only offers that stay alive and
+  // unchanged while a candidate waits in the heap, so pricing a pair again
+  // yields the same outcome bit for bit.
+  auto evaluate = [&](int ai, int bi, PricingWorkspace* w,
+                      PairOutcome* out) -> bool {
     const Offer& a = offers[static_cast<std::size_t>(ai)];
     const Offer& b = offers[static_cast<std::size_t>(bi)];
     int merged_size = a.items.size() + b.items.size();
     if (merged_size > k) return false;
     double merged_scale = BundleScale(merged_size, problem.theta);
     if (merged_scale <= 0.0) return false;
-    entry->a = ai;
-    entry->b = bi;
     if (pure) {
       PricedOffer priced =
-          PriceMergedPair(a.raw, b.raw, merged_scale, pricer, &ws);
-      double gain = priced.revenue - a.standalone - b.standalone;
-      if (gain <= kGainEpsilon) return false;
-      entry->gain = gain;
-      entry->price = priced.price;
-      entry->revenue = priced.revenue;
-      entry->buyers = priced.expected_buyers;
-      return true;
+          PriceMergedPair(a.raw, b.raw, merged_scale, pricer, w);
+      out->gain = priced.revenue - a.standalone - b.standalone;
+      out->price = priced.price;
+      out->revenue = priced.revenue;
+      out->buyers = priced.expected_buyers;
+      return out->gain > kGainEpsilon;
     }
     MergeSide sa{&a.raw, BundleScale(a.items.size(), problem.theta), a.price,
                  &a.payments};
     MergeSide sb{&b.raw, BundleScale(b.items.size(), problem.theta), b.price,
                  &b.payments};
-    MergeGainResult r = mixed.MergeGain(sa, sb, merged_scale, &ws);
+    MergeGainResult r = mixed.MergeGain(sa, sb, merged_scale, w);
     if (!r.feasible || r.gain <= kGainEpsilon) return false;
-    entry->gain = r.gain;
-    entry->price = r.bundle_price;
-    entry->revenue = 0.0;
-    entry->buyers = r.expected_adopters;
+    out->gain = r.gain;
+    out->price = r.bundle_price;
+    out->revenue = 0.0;
+    out->buyers = r.expected_adopters;
     return true;
+  };
+
+  // Prices the candidate pairs across the context's workers and pushes the
+  // gaining ones, gathered in candidate order.
+  std::priority_queue<HeapEntry> heap;
+  std::vector<std::pair<int, int>> pairs;
+  auto push_gaining = [&] {
+    EvaluateInBlocks<PairOutcome>(
+        context, pairs.size(),
+        [&](std::size_t i, PricingWorkspace* w, PairOutcome* out) {
+          return evaluate(pairs[i].first, pairs[i].second, w, out);
+        },
+        [&](std::size_t i, const PairOutcome& out) {
+          heap.push(HeapEntry{out.gain, pairs[i].first, pairs[i].second});
+        });
   };
 
   // Seed the heap with co-interested item pairs (or all pairs when the
   // pruning is disabled).
-  std::priority_queue<HeapEntry> heap;
-  HeapEntry entry;
   if (k >= 2) {
     if (problem.prune_co_interest) {
-      for (const auto& [i, j] : wtp.CoInterestedPairs()) {
-        if (evaluate(i, j, &entry)) heap.push(entry);
-      }
+      pairs = wtp.CoInterestedPairs();
     } else {
       for (int i = 0; i < wtp.num_items(); ++i) {
-        for (int j = i + 1; j < wtp.num_items(); ++j) {
-          if (evaluate(i, j, &entry)) heap.push(entry);
-        }
+        for (int j = i + 1; j < wtp.num_items(); ++j) pairs.emplace_back(i, j);
       }
     }
+    push_gaining();
   }
 
   int iteration = 0;
@@ -148,7 +164,11 @@ BundleSolution GreedyBundler::Solve(const BundleConfigProblem& problem,
         !offers[static_cast<std::size_t>(top.b)].alive) {
       continue;  // Lazy deletion: a participant was absorbed meanwhile.
     }
-    if (top.gain <= kGainEpsilon) break;
+    // The heap keeps only the key; price the pair again for its outcome.
+    // This repeats an evaluation, so it does not count in pairs_evaluated.
+    PairOutcome best;
+    const bool gains = evaluate(top.a, top.b, &ws, &best);
+    BM_CHECK(gains && best.gain == top.gain);
 
     // Collapse the pair.
     ++iteration;
@@ -162,21 +182,21 @@ BundleSolution GreedyBundler::Solve(const BundleConfigProblem& problem,
       merged.raw = SparseWtpVector::Merge(a.raw, b.raw);
       merged.child1 = top.a;
       merged.child2 = top.b;
-      merged.price = top.price;
-      merged.buyers = top.buyers;
-      merged.increment = top.gain;
+      merged.price = best.price;
+      merged.buyers = best.buyers;
+      merged.increment = best.gain;
       if (pure) {
-        merged.standalone = top.revenue;
-        merged.attributed = top.revenue;
+        merged.standalone = best.revenue;
+        merged.attributed = best.revenue;
       } else {
         merged.standalone = 0.0;
-        merged.attributed = a.attributed + b.attributed + top.gain;
+        merged.attributed = a.attributed + b.attributed + best.gain;
         MergeSide sa{&a.raw, BundleScale(a.items.size(), problem.theta), a.price,
                      &a.payments};
         MergeSide sb{&b.raw, BundleScale(b.items.size(), problem.theta), b.price,
                      &b.payments};
         merged.payments = mixed.BuildMergedPayments(
-            sa, sb, BundleScale(merged.items.size(), problem.theta), top.price);
+            sa, sb, BundleScale(merged.items.size(), problem.theta), best.price);
       }
       // Absorbed offers are only emitted from here on (items, price,
       // increment, buyers), and evaluate() never sees a dead offer, so their
@@ -194,14 +214,16 @@ BundleSolution GreedyBundler::Solve(const BundleConfigProblem& problem,
 
     // Evaluate the new bundle against all surviving offers.
     const Offer& nb = offers[static_cast<std::size_t>(new_id)];
+    pairs.clear();
     for (int other = 0; other < new_id; ++other) {
       const Offer& o = offers[static_cast<std::size_t>(other)];
       if (!o.alive) continue;
       if (problem.prune_co_interest && !SupportsIntersect(nb.raw, o.raw)) {
         continue;
       }
-      if (evaluate(other, new_id, &entry)) heap.push(entry);
+      pairs.emplace_back(other, new_id);
     }
+    push_gaining();
 
     int alive = 0;
     for (const Offer& o : offers) alive += o.alive ? 1 : 0;

@@ -354,7 +354,6 @@ BundleSolution MatchingBundler::Solve(const BundleConfigProblem& problem,
   // gathered in index order, so the edge list — and hence the whole solve —
   // stays bit-identical to a serial run while candidate memory stays bounded
   // at the block size instead of the full O(n²) candidate set.
-  constexpr std::size_t kCandidateBlock = 8192;
   std::vector<std::pair<int, int>> pairs;
   std::vector<CandidateEdge> results;
   std::vector<char> has_gain;

@@ -1,15 +1,18 @@
 // Internal helpers shared by the bundling algorithms: fast candidate-pair
-// evaluation without materializing merged sparse vectors, and support-overlap
-// tests used by the co-interest pruning.
+// evaluation without materializing merged sparse vectors, support-overlap
+// tests used by the co-interest pruning, and the block-parallel candidate
+// evaluator.
 
 #ifndef BUNDLEMINE_CORE_OFFER_OPS_H_
 #define BUNDLEMINE_CORE_OFFER_OPS_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "core/solve_context.h"
 #include "data/wtp_matrix.h"
 #include "mining/bitset.h"
 #include "pricing/offer_pricer.h"
@@ -99,6 +102,38 @@ inline bool SupportsIntersect(const SparseWtpVector& a, const SparseWtpVector& b
     }
   }
   return false;
+}
+
+/// Candidates per block of EvaluateInBlocks (and of the matching bundler's
+/// own block evaluator): bounds the staged results, not the work.
+inline constexpr std::size_t kCandidateBlock = 8192;
+
+/// Evaluates candidates 0 … n−1 in fixed blocks across the context's
+/// workers. eval(index, ws, &result) prices one candidate in the worker's
+/// workspace and returns whether it is kept; keep(index, result) then runs
+/// on the calling thread for each kept candidate in index order, so what
+/// the caller gathers matches a serial run at any width. Every evaluated
+/// candidate counts in stats().pairs_evaluated. Stops before a block once
+/// the context's deadline has passed.
+template <typename Result, typename Eval, typename Keep>
+void EvaluateInBlocks(SolveContext& context, std::size_t n, const Eval& eval,
+                      const Keep& keep) {
+  std::vector<Result> results(std::min(n, kCandidateBlock));
+  std::vector<char> kept(results.size());
+  for (std::size_t begin = 0; begin < n; begin += kCandidateBlock) {
+    if (context.DeadlineExceeded()) {
+      context.stats().deadline_hit = true;
+      return;
+    }
+    const std::size_t size = std::min(kCandidateBlock, n - begin);
+    context.ParallelFor(size, [&](std::size_t i, int slot) {
+      kept[i] = eval(begin + i, &context.workspace(slot), &results[i]) ? 1 : 0;
+    });
+    context.stats().pairs_evaluated += static_cast<std::int64_t>(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      if (kept[i]) keep(begin + i, results[i]);
+    }
+  }
 }
 
 }  // namespace bundlemine

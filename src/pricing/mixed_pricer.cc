@@ -276,13 +276,10 @@ MergeGainResult MixedPricer::MultiMergeGain(const std::vector<MergeSide>& sides,
   // Gather the union of supports with per-side effective WTP rows, flattened
   // into the workspace: stride doubles per user laid out as
   //   [w_0 … w_{m-1} | Σ_j w_j | α·scale_b·Σ_j raw_j | base payment].
-  std::vector<std::int32_t>& users = ws->users;
-  users.clear();
-  for (const MergeSide& s : sides) {
-    for (const WtpEntry& e : s.raw->entries()) users.push_back(e.id);
-  }
-  std::sort(users.begin(), users.end());
-  users.erase(std::unique(users.begin(), users.end()), users.end());
+  const std::vector<std::int32_t>& users = ws->users;
+  ws->StageUnion(m, [&](std::size_t j) -> const SparseWtpVector& {
+    return *sides[j].raw;
+  });
 
   const std::size_t stride = m + 3;
   const std::size_t kSum = m;
@@ -290,28 +287,25 @@ MergeGainResult MixedPricer::MultiMergeGain(const std::vector<MergeSide>& sides,
   const std::size_t kBase = m + 2;
   std::vector<double>& rows = ws->consumer_state;
   rows.assign(users.size() * stride, 0.0);
-  // Every side's raw and payment entries ascend by id, as `users` does, so
-  // one forward cursor per vector finds each entry's row. Payments of
-  // consumers outside the support union are skipped. A consumer absent from
-  // a side's payments adds nothing to the row's base, which starts at +0.0
-  // and only accumulates, so the sum equals adding that side's 0 explicitly.
-  auto for_each_row = [&](const SparseWtpVector& v, auto&& fn) {
-    std::size_t idx = 0;
-    for (const WtpEntry& e : v.entries()) {
-      while (idx < users.size() && users[idx] < e.id) ++idx;
-      if (idx == users.size()) break;
-      if (users[idx] == e.id) fn(&rows[idx * stride], e.w);
-    }
-  };
+  // Each entry finds its row through the union's id → row map. Sides are
+  // placed in order, so every row accumulates its raw total and base in
+  // side order. Payments of consumers outside the support union are
+  // skipped. A consumer absent from a side's payments adds nothing to the
+  // row's base, which starts at +0.0 and only accumulates, so the sum
+  // equals adding that side's 0 explicitly.
   for (std::size_t j = 0; j < m; ++j) {
     const double aj = alpha * sides[j].scale;
-    for_each_row(*sides[j].raw, [&](double* row, double w) {
-      row[j] = aj * w;
-      row[kBundle] += w;  // Raw total, rescaled below.
-    });
-    for_each_row(*sides[j].payments,
-                 [&](double* row, double pay) { row[kBase] += pay; });
+    for (const WtpEntry& e : sides[j].raw->entries()) {
+      double* row = &rows[static_cast<std::size_t>(ws->RowOf(e.id)) * stride];
+      row[j] = aj * e.w;
+      row[kBundle] += e.w;  // Raw total, rescaled below.
+    }
+    for (const WtpEntry& e : sides[j].payments->entries()) {
+      const std::int32_t r = ws->RowOf(e.id);
+      if (r >= 0) rows[static_cast<std::size_t>(r) * stride + kBase] += e.w;
+    }
   }
+  ws->ReleaseUnion();
   for (std::size_t u = 0; u < users.size(); ++u) {
     double* row = &rows[u * stride];
     double sum = 0.0;

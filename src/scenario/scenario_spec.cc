@@ -338,12 +338,12 @@ bool ValidateAxisValues(const ScenarioAxis& axis, std::string* error) {
     }
     switch (axis.kind) {
       case AxisKind::kTheta:
+        break;  // Any finite double.
       case AxisKind::kGamma:
       case AxisKind::kAlpha:
-        break;  // Any finite double.
       case AxisKind::kLambda:
         if (value <= 0.0) {
-          return Fail(error, "axis 'lambda' needs positive values, got " +
+          return Fail(error, "axis '" + name + "' needs positive values, got " +
                                  FormatDoubleShortest(value));
         }
         break;

@@ -175,7 +175,7 @@ double ApplyAxes(const ScenarioSpec& spec, const SweepCell& cell,
 
 void RunCell(const ScenarioSpec& spec, const SweepData& data,
              const SweepRunnerOptions& options, const SweepCell& cell,
-             int inner_threads, SweepCellResult* result) {
+             SweepCellResult* result) {
   BundleConfigProblem problem;
   problem.theta = spec.theta;
   problem.max_bundle_size = spec.max_bundle_size;
@@ -188,12 +188,11 @@ void RunCell(const ScenarioSpec& spec, const SweepData& data,
   problem.wtp = &wtp;
 
   // Fresh context per cell: the seed depends only on the cell index, so
-  // results cannot depend on which worker ran the cell. Cells are the unit
-  // of parallelism; the inner solver runs serially unless the grid is
-  // narrower than the worker count, in which case the surplus workers move
-  // inside the cell (solver results are bit-identical at any width).
+  // results cannot depend on which worker ran the cell. The cell's solver
+  // runs at the sweep's full width and picks up whichever workers are idle
+  // (solver results are bit-identical at any width).
   SolveContext::Options context_options;
-  context_options.num_threads = inner_threads;
+  context_options.num_threads = options.threads;
   context_options.seed = CellSeed(spec.dataset.seed, cell.index);
   context_options.deadline_seconds = options.deadline_seconds;
   SolveContext context(context_options);
@@ -362,16 +361,12 @@ SweepResult RunSweepCells(const ScenarioSpec& spec,
   result.base_total_wtp = base.WtpFor(spec.dataset.lambda).TotalWtp();
   result.cells.resize(cells.size());
 
-  // A grid narrower than the width leaves slots unused; hand the surplus to
-  // the cells' inner solvers instead. Integer division keeps the total
-  // width at or under `threads`.
-  int inner_threads = 1;
-  if (!cells.empty() && options.threads > static_cast<int>(cells.size())) {
-    inner_threads = options.threads / static_cast<int>(cells.size());
-  }
+  // Every cell asks for the full width: the shared pool only lends a cell
+  // workers that are idle, so while cells outnumber them each runs on its
+  // own thread, and as cells finish their workers join the ones still
+  // running.
   auto run_cell = [&](std::size_t index, int /*slot*/) {
-    RunCell(spec, data, options, cells[index], inner_threads,
-            &result.cells[index]);
+    RunCell(spec, data, options, cells[index], &result.cells[index]);
   };
   ThreadPool::Shared().ParallelFor(cells.size(), options.threads, run_cell);
 

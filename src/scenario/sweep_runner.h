@@ -76,9 +76,10 @@ struct SweepResult {
 };
 
 struct SweepRunnerOptions {
-  /// Width across cells on the shared ThreadPool: the calling thread plus
-  /// up to threads − 1 idle workers; <= 1 runs serially on the calling
-  /// thread. Results are bit-identical at any width.
+  /// Width on the shared ThreadPool, across cells and inside each cell:
+  /// the calling thread plus up to threads − 1 idle workers; <= 1 runs
+  /// serially on the calling thread. Results are bit-identical at any
+  /// width.
   int threads = 1;
   /// Per-cell wall-clock budget (0 = none); deadline-aware solvers return a
   /// valid partial configuration and flag stats.deadline_hit. A non-zero
@@ -172,10 +173,11 @@ void RecomputeComponentGains(SweepResult* result);
 /// when that cell is present in `cells`. Cells run on the shared ThreadPool
 /// at width `options.threads`, next to any other jobs in the process.
 /// `wtp_provider` (optional) serves the per-(dataset, λ) WTP matrices — the
-/// Engine passes its λ-keyed cache. When the cell list is smaller than
-/// `options.threads`, the surplus workers move inside the cells: each
-/// cell's SolveContext gets ⌊threads / cells⌋ candidate-evaluation threads
-/// (results are bit-identical at any width, so this only changes wall time).
+/// Engine passes its λ-keyed cache. Each cell's SolveContext also runs at
+/// width `options.threads`, so workers left idle by finished cells (or by a
+/// grid narrower than the width) join the candidate evaluation of the cells
+/// still running (results are bit-identical at any width, so this only
+/// changes wall time).
 SweepResult RunSweepCells(const ScenarioSpec& spec,
                           const std::vector<SweepCell>& cells,
                           const RatingsDataset& dataset,

@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "data/wtp_matrix.h"
@@ -12,6 +14,7 @@
 #include "pricing/mixed_pricer.h"
 #include "pricing/offer_pricer.h"
 #include "pricing/price_grid.h"
+#include "pricing/pricing_workspace.h"
 #include "util/rng.h"
 
 namespace bundlemine {
@@ -347,6 +350,217 @@ TEST(MixedPricer, MultiMergeGainMatchesPairOnTwoSides) {
     EXPECT_NEAR(pair.gain, multi.gain, 1e-9) << "levels=" << levels;
     EXPECT_NEAR(pair.bundle_price, multi.bundle_price, 1e-9);
   }
+}
+
+// MixedPricer::MultiMergeGain restated per consumer: a std::map walks the
+// sides' support union in ascending user order, each consumer's raw total
+// and base payment are summed in side (item) order, and the prices are
+// scanned as the kernel scans them. Bit-exact agreement pins the kernel's
+// staging, which places every side's entries through an id → row map.
+MergeGainResult ReferenceMultiMergeGain(const AdoptionModel& model, int levels,
+                                        MixedComposition composition,
+                                        const std::vector<MergeSide>& sides,
+                                        double merged_scale) {
+  constexpr double kMargin = 1e-9;
+  const std::size_t m = sides.size();
+  double psum = 0.0;
+  double pmax = 0.0;
+  for (const MergeSide& s : sides) {
+    if (s.price <= 0.0) return MergeGainResult{};
+    psum += s.price;
+    pmax = std::max(pmax, s.price);
+  }
+  struct Consumer {
+    std::vector<double> w;  // α·scale_j·raw_j, 0 where absent.
+    double raw_total = 0.0;
+    double base = 0.0;
+  };
+  std::map<std::int32_t, Consumer> consumers;
+  for (std::size_t j = 0; j < m; ++j) {
+    for (const WtpEntry& e : sides[j].raw->entries()) {
+      Consumer& c = consumers[e.id];
+      c.w.resize(m, 0.0);
+      c.w[j] = model.alpha() * sides[j].scale * e.w;
+      c.raw_total += e.w;
+    }
+  }
+  for (const MergeSide& s : sides) {
+    for (const WtpEntry& e : s.payments->entries()) {
+      auto it = consumers.find(e.id);
+      if (it != consumers.end()) it->second.base += e.w;
+    }
+  }
+  struct Row {
+    std::vector<double> w;
+    double sum = 0.0;
+    double bundle = 0.0;
+    double base = 0.0;
+  };
+  std::vector<Row> rows;
+  for (const auto& [user, c] : consumers) {
+    Row row{c.w, 0.0, model.alpha() * merged_scale * c.raw_total, c.base};
+    for (double w : c.w) row.sum += w;
+    rows.push_back(std::move(row));
+  }
+  auto threshold = [&](const Row& row) {
+    double t = row.bundle;
+    for (std::size_t j = 0; j < m; ++j) {
+      t = std::min(t, sides[j].price + (row.sum - row.w[j]));
+    }
+    return t;
+  };
+  MergeGainResult best;
+  if (model.is_step() && levels == 0) {
+    std::vector<std::pair<double, double>> tb;
+    for (const Row& row : rows) tb.emplace_back(threshold(row), row.base);
+    std::sort(tb.begin(), tb.end(),
+              [](const auto& a, const auto& b) { return a.first > b.first; });
+    double count = 0.0;
+    double base_sum = 0.0;
+    for (std::size_t i = 0; i < tb.size(); ++i) {
+      count += 1.0;
+      base_sum += tb[i].second;
+      const double p = tb[i].first;
+      if (i + 1 < tb.size() && tb[i + 1].first == p) continue;
+      if (p <= pmax + kMargin || p >= psum - kMargin) continue;
+      if (p * count - base_sum > best.gain) {
+        best.gain = p * count - base_sum;
+        best.bundle_price = p;
+        best.expected_adopters = count;
+      }
+    }
+  } else {
+    UniformPriceView grid(psum, levels);
+    std::vector<double> count(static_cast<std::size_t>(grid.size()) + 1, 0.0);
+    std::vector<double> base(count.size(), 0.0);
+    if (model.is_step()) {
+      for (const Row& row : rows) {
+        const int bucket = grid.BucketFor(threshold(row));
+        if (bucket < 0) continue;
+        count[static_cast<std::size_t>(bucket)] += 1.0;
+        base[static_cast<std::size_t>(bucket)] += row.base;
+      }
+      for (std::size_t t = count.size() - 1; t-- > 0;) {
+        count[t] += count[t + 1];
+        base[t] += base[t + 1];
+      }
+    }
+    for (int t = 0; t < grid.size(); ++t) {
+      const double p = grid.level(t);
+      if (p <= pmax + kMargin || p >= psum - kMargin) continue;
+      double gain = 0.0;
+      double adopters = 0.0;
+      if (model.is_step()) {
+        gain = p * count[static_cast<std::size_t>(t)] -
+               base[static_cast<std::size_t>(t)];
+        adopters = count[static_cast<std::size_t>(t)];
+      } else {
+        for (const Row& row : rows) {
+          double min_slack = row.bundle - p;
+          double product = model.ProbabilityFromSlack(min_slack);
+          for (std::size_t j = 0; j < m; ++j) {
+            const double slack = (row.sum - row.w[j]) - (p - sides[j].price);
+            min_slack = std::min(min_slack, slack);
+            if (composition == MixedComposition::kProduct) {
+              product *= model.ProbabilityFromSlack(slack);
+            }
+          }
+          const double prob = composition == MixedComposition::kMinSlack
+                                  ? model.ProbabilityFromSlack(min_slack)
+                                  : product;
+          adopters += prob;
+          gain += prob * (p - row.base);
+        }
+      }
+      if (gain > best.gain) {
+        best.gain = gain;
+        best.bundle_price = p;
+        best.expected_adopters = adopters;
+      }
+    }
+  }
+  best.feasible = best.gain > kMargin;
+  if (!best.feasible) best = MergeGainResult{};
+  return best;
+}
+
+// Random sparse multi-side audiences, m = 3 … 25, over user-id windows that
+// move, grow and shrink from call to call, priced through one reused
+// workspace. Raw vectors carry some zero-WTP entries; payments carry zero
+// entries and consumers outside every side's support.
+TEST(MixedPricer, MultiMergeGainMatchesPerConsumerReferenceBitForBit) {
+  struct Mode {
+    AdoptionModel model;
+    int levels;
+    MixedComposition composition;
+  };
+  const Mode modes[] = {
+      {AdoptionModel::Step(), 0, MixedComposition::kMinSlack},
+      {AdoptionModel::StepWithBias(1.1), 0, MixedComposition::kMinSlack},
+      {AdoptionModel::Step(), 100, MixedComposition::kMinSlack},
+      {AdoptionModel::Sigmoid(2.0), 40, MixedComposition::kMinSlack},
+      {AdoptionModel::Sigmoid(2.0), 40, MixedComposition::kProduct},
+  };
+  Rng rng(4242);
+  PricingWorkspace ws;
+  int feasible = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const int m = 3 + trial % 23;
+    // Windows alternate between wide and narrow, far and near ids.
+    const int span =
+        trial % 3 == 0 ? 2000 : 40 + static_cast<int>(rng.UniformU32(200));
+    const int first =
+        static_cast<int>(rng.UniformU32(trial % 2 == 0 ? 5000 : 70));
+    std::vector<SparseWtpVector> raws;
+    std::vector<SparseWtpVector> pays;
+    std::vector<MergeSide> sides;
+    for (int j = 0; j < m; ++j) {
+      const double density = rng.UniformDouble(0.02, 0.4);
+      std::vector<WtpEntry> raw;
+      std::vector<WtpEntry> pay;
+      for (int u = first; u < first + span; ++u) {
+        if (rng.Bernoulli(density)) {
+          const double w =
+              rng.Bernoulli(0.05) ? 0.0 : rng.UniformDouble(0.5, 20.0);
+          raw.push_back(WtpEntry{u, w});
+          if (rng.Bernoulli(0.6)) {
+            const double pay_w =
+                rng.Bernoulli(0.1) ? 0.0 : rng.UniformDouble(0.1, 10.0);
+            pay.push_back(WtpEntry{u, pay_w});
+          }
+        } else if (rng.Bernoulli(0.05)) {
+          pay.push_back(WtpEntry{u, rng.UniformDouble(0.1, 5.0)});
+        }
+      }
+      // A payment past every raw id: outside the union by construction.
+      pay.push_back(WtpEntry{first + span + 64 * j, 1.0});
+      raws.emplace_back(std::move(raw));
+      pays.emplace_back(std::move(pay));
+    }
+    for (int j = 0; j < m; ++j) {
+      const double scale =
+          rng.Bernoulli(0.5) ? 1.0 : rng.UniformDouble(0.9, 1.1);
+      sides.push_back(MergeSide{&raws[static_cast<std::size_t>(j)], scale,
+                                rng.UniformDouble(1.0, 8.0),
+                                &pays[static_cast<std::size_t>(j)]});
+    }
+    const double merged_scale = rng.UniformDouble(0.9, 1.1);
+    for (const Mode& mode : modes) {
+      MixedPricer pricer(mode.model, mode.levels, mode.composition);
+      const MergeGainResult got =
+          pricer.MultiMergeGain(sides, merged_scale, &ws);
+      const MergeGainResult want = ReferenceMultiMergeGain(
+          mode.model, mode.levels, mode.composition, sides, merged_scale);
+      EXPECT_EQ(got.feasible, want.feasible) << "trial " << trial << " m=" << m;
+      EXPECT_EQ(got.gain, want.gain) << "trial " << trial << " m=" << m;
+      EXPECT_EQ(got.bundle_price, want.bundle_price) << "trial " << trial;
+      EXPECT_EQ(got.expected_adopters, want.expected_adopters)
+          << "trial " << trial;
+      feasible += got.feasible ? 1 : 0;
+    }
+  }
+  // The audiences must exercise the gain scan, not only the early exits.
+  EXPECT_GT(feasible, 60);
 }
 
 TEST(MixedPricer, SigmoidCompositionsAgreeInStepLimit) {

@@ -4,6 +4,7 @@
 
 #include <cstdlib>
 #include <limits>
+#include <utility>
 
 #include "gtest/gtest.h"
 #include "scenario/artifact_writer.h"
@@ -191,6 +192,32 @@ TEST(ScenarioSpecTest, ValidateRejectsBadAxisValues) {
 
   spec.axes = {{AxisKind::kLambda, {1.0, -0.5}}};
   EXPECT_FALSE(ValidateScenarioSpec(spec, &error));
+}
+
+// The adoption model needs gamma > 0 and alpha > 0; a spec reaching it with
+// anything else used to abort the process instead of getting an error.
+TEST(ScenarioSpecTest, ValidateRejectsNonPositiveAdoptionAxes) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"axis:gamma=0", "axis 'gamma' needs positive values, got 0.0"},
+      {"axis:gamma=1,-1", "axis 'gamma' needs positive values, got -1.0"},
+      {"axis:alpha=0", "axis 'alpha' needs positive values, got 0.0"},
+      {"axis:alpha=-0.5", "axis 'alpha' needs positive values, got -0.5"},
+  };
+  for (const auto& [axis, expected] : cases) {
+    std::string error;
+    std::optional<ScenarioSpec> spec = ParseScenarioSpec(
+        std::string("scale=tiny;seed=7;methods=components;") + axis, &error);
+    ASSERT_TRUE(spec) << axis << ": " << error;
+    EXPECT_FALSE(ValidateScenarioSpec(*spec, &error)) << axis;
+    EXPECT_EQ(error, expected);
+  }
+  std::string error;
+  std::optional<ScenarioSpec> positive = ParseScenarioSpec(
+      "scale=tiny;seed=7;methods=components;axis:gamma=0.1,1e6;"
+      "axis:alpha=0.75,1.25",
+      &error);
+  ASSERT_TRUE(positive) << error;
+  EXPECT_TRUE(ValidateScenarioSpec(*positive, &error)) << error;
 }
 
 TEST(ScenarioSpecTest, AxisNamesRoundTripAndDescribe) {

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/solve_context.h"
 #include "gtest/gtest.h"
 #include "scenario/artifact_writer.h"
 #include "scenario/scenario_spec.h"
@@ -96,6 +97,40 @@ TEST(SweepDeterminism, CapturedTracesAreThreadInvariant) {
   std::string threaded = SweepArtifactJson(RunFullSweep(spec, threaded_options));
   EXPECT_EQ(serial, threaded);
   EXPECT_NE(serial.find("\"trace\": ["), std::string::npos);
+}
+
+// A one-cell grid leaves the sweep's other workers idle, so they join the
+// cell's own candidate evaluation: greedy's seed pairs and per-merge
+// candidates, freq's itemsets. The artifact, pairs_evaluated included, must
+// not depend on how many threads that evaluation ran on.
+void ExpectOneCellGridsThreadInvariant(const std::string& profile) {
+  for (const char* method :
+       {"pure-greedy", "mixed-greedy", "pure-freq", "mixed-freq"}) {
+    ScenarioSpec spec = DeterminismSpec();
+    spec.dataset.profile = profile;
+    spec.methods = {method};
+    spec.axes = {{AxisKind::kTheta, {0.05}}};
+    SweepRunnerOptions options;
+    options.threads = 4;
+    int width = 0;
+    options.context_hook = [&width](int, SolveContext& context) {
+      width = context.options().num_threads;
+    };
+    const std::string threaded = SweepArtifactJson(RunFullSweep(spec, options));
+    EXPECT_EQ(width, 4) << profile << " " << method;
+    EXPECT_EQ(RunToJson(spec, 1), threaded) << profile << " " << method;
+    EXPECT_NE(threaded.find("\"pairs_evaluated\": "), std::string::npos);
+    EXPECT_EQ(threaded.find("\"pairs_evaluated\": 0,"), std::string::npos)
+        << profile << " " << method;
+  }
+}
+
+TEST(SweepDeterminism, OneCellGridsAreThreadInvariantTiny) {
+  ExpectOneCellGridsThreadInvariant("tiny");
+}
+
+TEST(SweepDeterminism, OneCellGridsAreThreadInvariantSmall) {
+  ExpectOneCellGridsThreadInvariant("small");
 }
 
 TEST(SweepDeterminism, SeedChangesTheArtifact) {
