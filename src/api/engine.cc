@@ -31,6 +31,14 @@ std::string RegisteredKeyList() {
   return JoinStrings(BundlerRegistry::Global().Keys(), ", ");
 }
 
+Status ValidateDataset(const DatasetSpec& spec) {
+  std::string diagnostic;
+  if (!ValidateDatasetSpec(spec, &diagnostic)) {
+    return Status::InvalidArgument("invalid dataset: " + diagnostic);
+  }
+  return Status::Ok();
+}
+
 Status ValidateShard(int shard_index, int shard_count) {
   if (shard_count < 1 || shard_index < 0 || shard_index >= shard_count) {
     return Status::InvalidArgument(
@@ -130,12 +138,7 @@ StatusOr<SolveResponse> Engine::Solve(const SolveRequest& request) {
     problem = *request.problem;
   } else if (request.dataset.has_value()) {
     const DatasetSpec& spec = *request.dataset;
-    if (Status profile = ValidateDatasetProfile(spec.profile); !profile.ok()) {
-      return profile;
-    }
-    if (spec.lambda <= 0.0) {
-      return Status::InvalidArgument("dataset lambda must be positive");
-    }
+    if (Status valid = ValidateDataset(spec); !valid.ok()) return valid;
     dataset_holder = DatasetFor(spec);
     wtp_holder =
         WtpFor(DatasetCacheKey(spec), "", *dataset_holder, spec.lambda);
@@ -245,12 +248,7 @@ StatusOr<SweepResponse> Engine::Sweep(const SweepRequest& request) {
 
 StatusOr<std::shared_ptr<const RatingsDataset>> Engine::Dataset(
     const DatasetSpec& spec) {
-  if (Status profile = ValidateDatasetProfile(spec.profile); !profile.ok()) {
-    return profile;
-  }
-  if (spec.lambda <= 0.0) {
-    return Status::InvalidArgument("dataset lambda must be positive");
-  }
+  if (Status valid = ValidateDataset(spec); !valid.ok()) return valid;
   return DatasetFor(spec);
 }
 

@@ -193,8 +193,8 @@ class Engine {
 
   /// Solves one request. Errors: NOT_FOUND for an unknown method key
   /// (message lists the registered keys), INVALID_ARGUMENT for a request
-  /// with neither problem nor dataset, an unknown dataset profile, or a
-  /// non-positive lambda.
+  /// with neither problem nor dataset or with a dataset that fails
+  /// ValidateDatasetSpec.
   StatusOr<SolveResponse> Solve(const SolveRequest& request);
 
   /// Evaluates many requests across the shared pool at the Engine's width.
@@ -213,7 +213,7 @@ class Engine {
 
   /// Materializes (through the dataset cache) the dataset a DatasetSpec
   /// names — the server's market-load path. Errors mirror Solve's dataset
-  /// validation: unknown profile, non-positive lambda.
+  /// validation (ValidateDatasetSpec).
   StatusOr<std::shared_ptr<const RatingsDataset>> Dataset(
       const DatasetSpec& spec);
 

@@ -4,19 +4,16 @@
 #include <cmath>
 #include <memory>
 
+#include "core/offer_graph.h"
 #include "core/offer_ops.h"
 #include "core/resolve_hints.h"
 #include "mining/mafia.h"
 #include "mining/transactions.h"
-#include "pricing/mixed_pricer.h"
-#include "pricing/offer_pricer.h"
 #include "util/check.h"
 #include "util/timer.h"
 
 namespace bundlemine {
 namespace {
-
-constexpr double kGainEpsilon = 1e-9;
 
 // An evaluated candidate itemset-bundle.
 struct Candidate {
@@ -40,21 +37,12 @@ BundleSolution FreqItemsetBundler::Solve(const BundleConfigProblem& problem,
   OfferPricer pricer(problem.adoption, problem.price_levels);
   MixedPricer mixed(problem.adoption, problem.price_levels,
                     problem.mixed_composition);
-  PricingWorkspace& ws = context.workspace();
 
-  // Per-item standalone pricing (components are always available candidates).
-  std::vector<SparseWtpVector> item_raw;
-  std::vector<PricedOffer> item_priced;
-  std::vector<SparseWtpVector> item_payments;
-  item_raw.reserve(static_cast<std::size_t>(wtp.num_items()));
-  item_priced.reserve(static_cast<std::size_t>(wtp.num_items()));
-  item_payments.reserve(static_cast<std::size_t>(wtp.num_items()));
-  for (ItemId i = 0; i < wtp.num_items(); ++i) {
-    item_raw.push_back(wtp.ItemVector(i));
-    item_priced.push_back(pricer.PriceOffer(item_raw.back(), 1.0, &ws));
-    item_payments.push_back(
-        mixed.BuildStandalonePayments(item_raw.back(), 1.0, item_priced.back().price));
-  }
+  // Per-item standalone pricing (components are always available
+  // candidates): the singleton offers of an unmerged offer graph.
+  const OfferGraph items(problem, /*dense_columns=*/false,
+                         &context.workspace());
+  auto item = [&](ItemId i) -> const Offer& { return items.offer(i); };
 
   // Mine maximal frequent itemsets as candidate bundles.
   MinerLimits limits;
@@ -123,7 +111,7 @@ BundleSolution FreqItemsetBundler::Solve(const BundleConfigProblem& problem,
       // user order: the values PriceOffer stages from the merged bundle
       // vector. The mixed path prices the items' vectors as separate sides.
       auto item_vector = [&](std::size_t j) -> const SparseWtpVector& {
-        return item_raw[static_cast<std::size_t>(fi.items[j])];
+        return item(fi.items[j]).raw;
       };
       w->StageUnion(fi.items.size(), item_vector);
       std::vector<double>& raw = w->consumer_state;
@@ -140,9 +128,7 @@ BundleSolution FreqItemsetBundler::Solve(const BundleConfigProblem& problem,
       }
       PricedOffer priced = pricer.PriceEffectiveValues(w->values, w);
       double parts = 0.0;
-      for (int item : fi.items) {
-        parts += item_priced[static_cast<std::size_t>(item)].revenue;
-      }
+      for (ItemId i : fi.items) parts += item(i).standalone;
       c->gain = priced.revenue - parts;
       c->price = priced.price;
       c->revenue = priced.revenue;
@@ -150,10 +136,9 @@ BundleSolution FreqItemsetBundler::Solve(const BundleConfigProblem& problem,
     } else {
       std::vector<MergeSide> sides;
       sides.reserve(fi.items.size());
-      for (int item : fi.items) {
-        std::size_t idx = static_cast<std::size_t>(item);
-        sides.push_back(MergeSide{&item_raw[idx], 1.0, item_priced[idx].price,
-                                  &item_payments[idx]});
+      for (ItemId i : fi.items) {
+        const Offer& o = item(i);
+        sides.push_back(MergeSide{&o.raw, 1.0, o.price, &o.payments});
       }
       MergeGainResult r = mixed.MultiMergeGain(sides, scale, w);
       if (!r.feasible) return false;
@@ -217,9 +202,9 @@ BundleSolution FreqItemsetBundler::Solve(const BundleConfigProblem& problem,
     if (inside_selected && pure) continue;  // Pure: item only via its bundle.
     PricedBundle pb;
     pb.items = Bundle::Of(i);
-    pb.price = item_priced[static_cast<std::size_t>(i)].price;
-    pb.revenue = item_priced[static_cast<std::size_t>(i)].revenue;
-    pb.expected_buyers = item_priced[static_cast<std::size_t>(i)].expected_buyers;
+    pb.price = item(i).price;
+    pb.revenue = item(i).standalone;
+    pb.expected_buyers = item(i).buyers;
     pb.is_component_offer = inside_selected;  // Mixed: retained in X′.
     total += pb.revenue;
     solution.offers.push_back(std::move(pb));

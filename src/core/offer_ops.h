@@ -1,20 +1,16 @@
 // Internal helpers shared by the bundling algorithms: fast candidate-pair
-// evaluation without materializing merged sparse vectors, support-overlap
-// tests used by the co-interest pruning, and the block-parallel candidate
-// evaluator.
+// pricing without materializing merged sparse vectors, and the
+// block-parallel candidate evaluator.
 
 #ifndef BUNDLEMINE_CORE_OFFER_OPS_H_
 #define BUNDLEMINE_CORE_OFFER_OPS_H_
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/solve_context.h"
 #include "data/wtp_matrix.h"
-#include "mining/bitset.h"
 #include "pricing/offer_pricer.h"
 #include "pricing/pricing_workspace.h"
 
@@ -52,56 +48,6 @@ inline PricedOffer PriceMergedPair(const SparseWtpVector& a,
     ++j;
   }
   return pricer.PriceEffectiveValues(merged, ws);
-}
-
-/// Dense-column variant of PriceMergedPair for bundlers that maintain
-/// per-offer SoA columns: gathers scale·(col_a[u] + col_b[u]) over the union
-/// of the two support bitsets in ascending user order. When every WTP entry
-/// is positive (the gate under which bundlers enable dense columns) the
-/// staged array is bit-identical to the sorted-merge above — union bits
-/// enumerate exactly the merged entries in the same order, and the absent
-/// side contributes +0.0, which addition preserves exactly.
-inline PricedOffer PriceMergedPairDense(const double* col_a,
-                                        const Bitset& sup_a,
-                                        const double* col_b,
-                                        const Bitset& sup_b, double scale,
-                                        const OfferPricer& pricer,
-                                        PricingWorkspace* ws) {
-  std::vector<double>& merged = ws->values;
-  merged.clear();
-  const std::span<const std::uint64_t> wa = sup_a.words();
-  const std::span<const std::uint64_t> wb = sup_b.words();
-  for (std::size_t k = 0; k < wa.size(); ++k) {
-    std::uint64_t word = wa[k] | wb[k];
-    while (word != 0) {
-      const std::size_t u =
-          (k << 6) + static_cast<std::size_t>(std::countr_zero(word));
-      word &= word - 1;
-      merged.push_back(scale * (col_a[u] + col_b[u]));
-    }
-  }
-  return pricer.PriceEffectiveValues(merged, ws);
-}
-
-/// True when the two audiences share at least one consumer with positive WTP
-/// on both sides — the generalization of the paper's first-iteration pruning
-/// to later iterations over already-merged bundles.
-inline bool SupportsIntersect(const SparseWtpVector& a, const SparseWtpVector& b) {
-  const auto& ea = a.entries();
-  const auto& eb = b.entries();
-  std::size_t i = 0, j = 0;
-  while (i < ea.size() && j < eb.size()) {
-    if (ea[i].id == eb[j].id) {
-      if (ea[i].w > 0.0 && eb[j].w > 0.0) return true;
-      ++i;
-      ++j;
-    } else if (ea[i].id < eb[j].id) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return false;
 }
 
 /// Candidates per block of EvaluateInBlocks (and of the matching bundler's

@@ -46,14 +46,6 @@ struct BundleConfigProblem {
   /// vertex created in the previous round.
   bool prune_stale_edges = true;
 
-  /// Allow bundlers to maintain dense per-offer WTP columns (SoA layout) so
-  /// candidate evaluation feeds the SIMD pricing kernels from contiguous
-  /// memory. Engaged only when every WTP entry is positive (which keeps the
-  /// dense path bit-identical to the sparse sorted-merge path) and the
-  /// columns fit a fixed memory budget; results are identical either way,
-  /// so this is purely a performance switch (ablation).
-  bool soa_columns = true;
-
   /// Vertex-count ceiling for the exact blossom matcher inside Algorithm 1;
   /// larger graphs fall back to the greedy 1/2-approximate matcher. The
   /// matcher's memory is O(V + E), so the ceiling only bounds its roughly

@@ -70,9 +70,9 @@ struct MergeSide {
   double price = 0.0;
   const SparseWtpVector* payments = nullptr;
 
-  // Optional dense (SoA) view of the same offer, supplied by bundlers that
-  // maintain per-offer columns (MatchingBundler when the dense-column gate
-  // is on). When all three pointers are set on both sides, MergeGain stages
+  // Optional dense (SoA) view of the same offer, supplied by an offer graph
+  // that keeps per-offer columns (the matching bundler's, when the gate
+  // lets it). When all three pointers are set on both sides, MergeGain stages
   // the joint audience by iterating the support-union bitset over the dense
   // columns. Otherwise it walks the sparse vectors in one forward merge: the
   // two raw vectors side by side, with one cursor per payment vector. Both

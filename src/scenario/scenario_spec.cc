@@ -386,20 +386,43 @@ bool ValidateAxisValues(const ScenarioAxis& axis, std::string* error) {
 
 }  // namespace
 
-bool ValidateScenarioSpec(const ScenarioSpec& spec, std::string* error) {
-  if (!KnownProfile(spec.dataset.profile)) {
-    return Fail(error, "unknown dataset profile '" + spec.dataset.profile + "'");
+bool ValidateDatasetSpec(const DatasetSpec& dataset, std::string* error) {
+  if (!KnownProfile(dataset.profile)) {
+    std::string valid;
+    for (const std::string& p : KnownDatasetProfiles()) {
+      valid += (valid.empty() ? "" : ", ") + p;
+    }
+    return Fail(error, "unknown dataset profile '" + dataset.profile +
+                           "' (valid: " + valid + ")");
   }
-  if (spec.dataset.lambda <= 0.0) return Fail(error, "lambda must be positive");
-  if (spec.dataset.num_users && *spec.dataset.num_users <= 0) {
+  if (!(dataset.lambda > 0.0) || !std::isfinite(dataset.lambda)) {
+    return Fail(error, "lambda must be positive and finite");
+  }
+  if (dataset.num_users && *dataset.num_users <= 0) {
     return Fail(error, "num-users must be positive");
   }
-  if (spec.dataset.num_items && *spec.dataset.num_items <= 0) {
+  if (dataset.num_items && *dataset.num_items <= 0) {
     return Fail(error, "num-items must be positive");
   }
-  if (spec.dataset.item_sample && *spec.dataset.item_sample <= 0) {
+  if (dataset.item_sample && *dataset.item_sample <= 0) {
     return Fail(error, "item-sample must be positive");
   }
+  // The generator's domains: background mass is a categorical weight, and
+  // a negative popularity exponent overflows the Zipf weights 1/(r+1)^s.
+  const auto non_negative = [](const std::optional<double>& v) {
+    return !v || (std::isfinite(*v) && *v >= 0.0);
+  };
+  if (!non_negative(dataset.background_mass)) {
+    return Fail(error, "background-mass must be finite and >= 0");
+  }
+  if (!non_negative(dataset.popularity_exponent)) {
+    return Fail(error, "popularity-exponent must be finite and >= 0");
+  }
+  return true;
+}
+
+bool ValidateScenarioSpec(const ScenarioSpec& spec, std::string* error) {
+  if (!ValidateDatasetSpec(spec.dataset, error)) return false;
   if (spec.price_levels < 0) return Fail(error, "levels must be >= 0");
   if (spec.max_bundle_size < 0) return Fail(error, "k must be >= 0");
   if (spec.methods.empty()) return Fail(error, "no methods listed");

@@ -142,11 +142,20 @@ std::optional<ScenarioSpec> ParseScenarioSpec(std::string_view text,
 /// identical spec.
 std::string FormatScenarioSpec(const ScenarioSpec& spec);
 
-/// Structural validation: a known profile, at least one method and every
-/// method registered, at least one axis and every axis non-empty, no axis
-/// kind repeated (the diagnostic names the duplicate and both positions),
-/// and per-kind value constraints (integer axes integral, toggles 0/1,
-/// positive population sizes). Returns false with a diagnostic in `error`.
+/// Dataset validation shared by every front end that materializes a
+/// DatasetSpec: a known profile, a positive finite lambda, positive
+/// population overrides, and generator overrides inside the generator's
+/// domain (background-mass and popularity-exponent finite and >= 0).
+/// Returns false with a diagnostic in `error`.
+bool ValidateDatasetSpec(const DatasetSpec& dataset,
+                         std::string* error = nullptr);
+
+/// Structural validation: a valid dataset (ValidateDatasetSpec), at least
+/// one method and every method registered, at least one axis and every axis
+/// non-empty, no axis kind repeated (the diagnostic names the duplicate and
+/// both positions), and per-kind value constraints (integer axes integral,
+/// toggles 0/1, positive population sizes). Returns false with a
+/// diagnostic in `error`.
 bool ValidateScenarioSpec(const ScenarioSpec& spec, std::string* error = nullptr);
 
 /// Non-fatal authoring lints on an otherwise valid spec, one message per
@@ -158,7 +167,7 @@ bool ValidateScenarioSpec(const ScenarioSpec& spec, std::string* error = nullptr
 /// validation.
 std::vector<std::string> ScenarioSpecWarnings(const ScenarioSpec& spec);
 
-/// The dataset profile names ValidateScenarioSpec accepts, in a stable
+/// The dataset profile names ValidateDatasetSpec accepts, in a stable
 /// order ("tiny", "small", "medium", "paper") — the canonical list for
 /// error messages that enumerate the valid alternatives.
 const std::vector<std::string>& KnownDatasetProfiles();

@@ -3,7 +3,11 @@
 // the heuristics and the exact optimum on small instances, the k-size cap,
 // revert-to-components behaviour, and determinism.
 
+#include <algorithm>
+#include <map>
+#include <random>
 #include <set>
+#include <tuple>
 
 #include "core/components_baseline.h"
 #include "core/freq_itemset_bundler.h"
@@ -15,6 +19,8 @@
 #include "core/wsp_bundler.h"
 #include "data/generator.h"
 #include "gtest/gtest.h"
+#include "pricing/offer_pricer.h"
+#include "pricing/pricing_workspace.h"
 #include "util/rng.h"
 
 namespace bundlemine {
@@ -357,6 +363,78 @@ TEST(Mixed, StochasticMixedRunsEndToEnd) {
   std::string error;
   EXPECT_TRUE(IsValidMixedConfiguration(s, TinyWtp().num_items(), &error)) << error;
   EXPECT_GT(s.total_revenue, 0.0);
+}
+
+// Pure FreqItemset sums each consumer's WTP over a candidate's items in
+// item order, then prices the positive effective WTPs in ascending user
+// order. Exact pricing (levels = 0) sets the price to one consumer's
+// effective WTP, so every selected bundle must match a per-consumer
+// reference bit for bit. Random non-round WTPs make the sums depend on the
+// summation order; the test requires that dependence to show in at least
+// one selected bundle, so it would catch a different order.
+TEST(FreqItemset, PureAudienceSumsInItemOrderBitForBit) {
+  // Disjoint groups of items, each rated by its own consumers with high
+  // probability: every group is a maximal frequent itemset, and most of a
+  // bundle's consumers sum four or five WTPs, drawn with a full 53-bit
+  // mantissa so that their sums round.
+  std::mt19937_64 rng(2626);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_real_distribution<double> wtp_value(1.0, 50.0);
+  constexpr int kGroups = 10;
+  constexpr int kGroupSize = 5;
+  constexpr int kUsers = 400;
+  constexpr int kItems = kGroups * kGroupSize;
+  std::vector<std::tuple<UserId, ItemId, double>> triplets;
+  for (UserId u = 0; u < kUsers; ++u) {
+    const int group = u % kGroups;
+    for (int j = 0; j < kGroupSize; ++j) {
+      if (unit(rng) < 0.9) {
+        triplets.emplace_back(u, group * kGroupSize + j, wtp_value(rng));
+      }
+    }
+  }
+  const WtpMatrix wtp = WtpMatrix::FromTriplets(kUsers, kItems, triplets);
+  BundleConfigProblem problem;
+  problem.wtp = &wtp;
+  problem.theta = 0.5;
+  problem.price_levels = 0;
+  const BundleSolution solution = SolveMethod("pure-freq", problem);
+
+  const OfferPricer pricer(problem.adoption, problem.price_levels);
+  PricingWorkspace ws;
+  // Prices the bundle's audience summed per consumer over its items in the
+  // given order.
+  auto price_summed = [&](const Bundle& items, bool reverse) {
+    std::vector<ItemId> order = items.items();
+    if (reverse) std::reverse(order.begin(), order.end());
+    std::map<UserId, double> audience;  // Ascending user order.
+    for (ItemId item : order) {
+      const SparseWtpVector users = wtp.ItemVector(item);
+      for (const WtpEntry& e : users.entries()) audience[e.id] += e.w;
+    }
+    const double scale = BundleScale(items.size(), problem.theta);
+    std::vector<double> values;
+    for (const auto& [user, w] : audience) {
+      if (scale * w > 0.0) values.push_back(scale * w);
+    }
+    return pricer.PriceEffectiveValues(values, &ws);
+  };
+  int checked = 0;
+  int order_sensitive = 0;
+  for (const PricedBundle& offer : solution.offers) {
+    if (offer.items.size() < 2) continue;
+    SCOPED_TRACE(offer.items.ToString());
+    const PricedOffer expected = price_summed(offer.items, false);
+    EXPECT_EQ(offer.price, expected.price);
+    EXPECT_EQ(offer.revenue, expected.revenue);
+    EXPECT_EQ(offer.expected_buyers, expected.expected_buyers);
+    ++checked;
+    if (price_summed(offer.items, true).price != expected.price) {
+      ++order_sensitive;
+    }
+  }
+  EXPECT_GT(checked, 0);
+  EXPECT_GT(order_sensitive, 0);
 }
 
 }  // namespace

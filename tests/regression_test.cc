@@ -1,8 +1,8 @@
 // Additional regression coverage: cross-checks of derived quantities against
 // brute-force recomputation, boundary tolerances, a wider oracle range for
 // the blossom matcher, and the golden sweep artifacts (a fixed-seed Tiny
-// θ-sweep and a Small mixed-pricing sweep, compared field-by-field against
-// tests/golden/).
+// θ-sweep, a Small mixed-pricing sweep and a Small offer-graph sweep,
+// compared field-by-field against tests/golden/).
 
 #include <cstdio>
 #include <cstdlib>
@@ -286,6 +286,19 @@ TEST(GoldenSweep, SmallMixedSweepMatchesCheckedInArtifact) {
       &error);
   ASSERT_TRUE(spec.has_value()) << error;
   ExpectSweepMatchesGolden(*spec, "small_mixed_sweep.json");
+}
+
+// The offer-graph bundlers at small scale: pure greedy and both matching
+// strategies run many-round merges over the shared offer graph (matching on
+// dense columns, greedy on sparse vectors).
+TEST(GoldenSweep, SmallOfferGraphSweepMatchesCheckedInArtifact) {
+  std::string error;
+  std::optional<ScenarioSpec> spec = ParseScenarioSpec(
+      "scale=small;seed=7;methods=pure-greedy,pure-matching,mixed-matching;"
+      "axis:theta=0.05",
+      &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  ExpectSweepMatchesGolden(*spec, "small_offer_graph_sweep.json");
 }
 
 }  // namespace

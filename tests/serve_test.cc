@@ -527,6 +527,15 @@ TEST(ServeTest, MalformedInputLeavesConnectionServing) {
       {SolveLine(4, "no-such-method", 0.0, 42), "NOT_FOUND",
        "unknown method key"},
       {SweepLine(5, "0/0"), "INVALID_ARGUMENT", "shard"},
+      // Generator overrides outside the generator's domain: a negative
+      // background mass used to abort in the categorical sampler, and a
+      // negative popularity exponent answered ok with an empty catalogue.
+      {R"({"kind":"solve","id":6,"method":"components","dataset":)"
+       R"({"profile":"tiny","seed":7,"background_mass":-5}})",
+       "INVALID_ARGUMENT", "background-mass"},
+      {R"({"kind":"solve","id":7,"method":"components","dataset":)"
+       R"({"profile":"tiny","seed":7,"popularity_exponent":-1e308}})",
+       "INVALID_ARGUMENT", "popularity-exponent"},
   };
   for (const Case& c : cases) {
     StatusOr<std::string> response = client.Call(c.line);

@@ -7,14 +7,13 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/matching_bundler.h"
-#include "core/offer_ops.h"
-#include "core/solve_context.h"
+#include "core/offer_graph.h"
 #include "data/generator.h"
 #include "mining/bitset.h"
 #include "pricing/price_grid.h"
@@ -268,9 +267,29 @@ TEST(KernelBitIdentityTest, MixedEffectiveColumnsAndSigmoidEval) {
   }
 }
 
-// Bitset support join must agree with the sorted-merge SupportsIntersect on
-// random sparse vectors (including zero/negative entries, which do not count
-// as support).
+// Reference support join: true when the two sorted audiences share a
+// consumer with positive WTP on both sides.
+bool SupportsIntersect(const SparseWtpVector& a, const SparseWtpVector& b) {
+  const auto& ea = a.entries();
+  const auto& eb = b.entries();
+  std::size_t i = 0, j = 0;
+  while (i < ea.size() && j < eb.size()) {
+    if (ea[i].id == eb[j].id) {
+      if (ea[i].w > 0.0 && eb[j].w > 0.0) return true;
+      ++i;
+      ++j;
+    } else if (ea[i].id < eb[j].id) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return false;
+}
+
+// The bitset support join the bundlers' co-interest pruning runs must agree
+// with the sorted-merge reference on random sparse vectors (including
+// zero/negative entries, which do not count as support).
 TEST(SupportJoinTest, BitsetMatchesSortedMerge) {
   std::mt19937_64 rng(808);
   std::uniform_real_distribution<double> mag(0.01, 10.0);
@@ -309,10 +328,12 @@ TEST(SupportJoinTest, BitsetMatchesSortedMerge) {
   EXPECT_LT(intersecting, 300);
 }
 
-// The dense SoA column path and the sparse sorted-merge path must produce
-// identical solutions — same offers, same prices, bit-equal revenues — for
-// every strategy/model combination.
-TEST(DenseColumnsTest, SolutionIdenticalToSparsePath) {
+// An offer graph on dense SoA columns must evaluate every candidate pair
+// bit-identically to one on sparse sorted merges, through a fixed sequence
+// of merges, for every strategy/model combination. Each step merges the
+// best-gain pair that grows the newest offer, or the best-gain pair overall
+// when none does, so the sequence reaches merges of merged offers.
+TEST(DenseColumnsTest, EvaluatePairIdenticalToSparsePath) {
   RatingsDataset data = GenerateAmazonLike(TinyProfile(2024));
   const WtpMatrix wtp = WtpMatrix::FromRatings(data, 1.25);
   struct Case {
@@ -325,34 +346,66 @@ TEST(DenseColumnsTest, SolutionIdenticalToSparsePath) {
       {BundlingStrategy::kMixed, false},
       {BundlingStrategy::kMixed, true},
   };
+  constexpr int kMerges = 12;
   for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << "strategy=" << static_cast<int>(c.strategy)
+                 << " sigmoid=" << c.sigmoid);
     BundleConfigProblem problem;
     problem.wtp = &wtp;
-    problem.theta = -0.1;
+    problem.theta = 0.2;
     problem.strategy = c.strategy;
     problem.adoption = c.sigmoid ? AdoptionModel::Sigmoid(8.0, 1.0, 1e-6)
                                  : AdoptionModel::Step();
     problem.price_levels = 50;
 
-    MatchingBundler bundler;
-    problem.soa_columns = true;
-    SolveContext dense_ctx{SolveContext::Options{}};
-    BundleSolution dense = bundler.Solve(problem, dense_ctx);
-    problem.soa_columns = false;
-    SolveContext sparse_ctx{SolveContext::Options{}};
-    BundleSolution sparse = bundler.Solve(problem, sparse_ctx);
-
-    EXPECT_EQ(dense.total_revenue, sparse.total_revenue)
-        << "strategy=" << static_cast<int>(c.strategy)
-        << " sigmoid=" << c.sigmoid;
-    ASSERT_EQ(dense.offers.size(), sparse.offers.size());
-    for (std::size_t i = 0; i < dense.offers.size(); ++i) {
-      EXPECT_TRUE(dense.offers[i].items == sparse.offers[i].items);
-      EXPECT_EQ(dense.offers[i].price, sparse.offers[i].price);
-      EXPECT_EQ(dense.offers[i].revenue, sparse.offers[i].revenue);
-      EXPECT_EQ(dense.offers[i].expected_buyers,
-                sparse.offers[i].expected_buyers);
+    PricingWorkspace ws;
+    OfferGraph dense(problem, /*dense_columns=*/true, &ws);
+    OfferGraph sparse(problem, /*dense_columns=*/false, &ws);
+    ASSERT_TRUE(dense.dense());
+    ASSERT_FALSE(sparse.dense());
+    int merges = 0;
+    int newest = -1;
+    for (; merges < kMerges; ++merges) {
+      std::optional<PairOutcome> best;
+      std::optional<PairOutcome> best_growing;
+      const int n = static_cast<int>(dense.offers().size());
+      for (int a = 0; a < n; ++a) {
+        if (!dense.offer(a).alive) continue;
+        for (int b = a + 1; b < n; ++b) {
+          if (!dense.offer(b).alive) continue;
+          PairOutcome d;
+          PairOutcome s;
+          const bool dense_gains = dense.EvaluatePair(a, b, &d, &ws);
+          ASSERT_EQ(dense_gains, sparse.EvaluatePair(a, b, &s, &ws))
+              << "pair " << a << "," << b;
+          if (!dense_gains) continue;
+          EXPECT_EQ(d.gain, s.gain);
+          EXPECT_EQ(d.price, s.price);
+          EXPECT_EQ(d.revenue, s.revenue);
+          EXPECT_EQ(d.buyers, s.buyers);
+          if (!best || d.gain > best->gain) best = d;
+          if ((a == newest || b == newest) &&
+              (!best_growing || d.gain > best_growing->gain)) {
+            best_growing = d;
+          }
+        }
+      }
+      if (best_growing) best = best_growing;
+      if (!best) break;
+      newest = dense.Merge(*best);
+      EXPECT_EQ(newest, sparse.Merge(*best));
     }
+    // Evaluations over merged offers' WTP and payment columns are covered
+    // only once the sequence merges a merged offer.
+    EXPECT_EQ(merges, kMerges);
+    int multi_level = 0;
+    for (const Offer& o : dense.offers()) {
+      multi_level += o.child1 >= wtp.num_items() ? 1 : 0;
+      multi_level += o.child2 >= wtp.num_items() ? 1 : 0;
+    }
+    EXPECT_GT(multi_level, 0);
+    EXPECT_EQ(dense.TotalRevenue(), sparse.TotalRevenue());
   }
 }
 
