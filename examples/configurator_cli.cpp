@@ -238,6 +238,24 @@ int main(int argc, char** argv) {
     return FailWith(method);
   }
 
+  // The dataset and problem flags get the knob domains every other front
+  // end applies.
+  DatasetSpec dataset_spec;
+  dataset_spec.profile = flags.GetString("scale");
+  dataset_spec.seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
+  dataset_spec.lambda = flags.GetDouble("lambda");
+  const long long k = flags.GetInt("k");
+  const long long levels = flags.GetInt("levels");
+  if (std::string invalid;
+      !ValidateDatasetSpec(dataset_spec, &invalid) ||
+      !ValidateProblemKnobs(flags.GetDouble("theta"), k, levels, &invalid)) {
+    return FailWith(Status::InvalidArgument(invalid));
+  }
+  BundleConfigProblem problem;
+  problem.theta = flags.GetDouble("theta");
+  problem.max_bundle_size = static_cast<int>(k);
+  problem.price_levels = static_cast<int>(levels);
+
   // ---- Data. ----
   RatingsDataset dataset;
   if (!flags.GetString("data").empty()) {
@@ -249,24 +267,16 @@ int main(int argc, char** argv) {
     }
     dataset = std::move(*loaded);
   } else {
-    const std::string scale = flags.GetString("scale");
-    if (Status profile = ValidateDatasetProfile(scale); !profile.ok()) {
-      return FailWith(profile);
-    }
-    dataset = GenerateAmazonLike(ProfileByName(
-        scale, static_cast<std::uint64_t>(flags.GetInt("seed"))));
+    dataset = GenerateAmazonLike(
+        ProfileByName(dataset_spec.profile, dataset_spec.seed));
   }
-  WtpMatrix wtp = WtpMatrix::FromRatings(dataset, flags.GetDouble("lambda"));
+  WtpMatrix wtp = WtpMatrix::FromRatings(dataset, dataset_spec.lambda);
   std::printf("dataset: %d consumers x %d items, %zu ratings; total WTP %.2f\n",
               wtp.num_users(), wtp.num_items(), dataset.ratings().size(),
               wtp.TotalWtp());
 
   // ---- Solve through the Engine. ----
-  BundleConfigProblem problem;
   problem.wtp = &wtp;
-  problem.theta = flags.GetDouble("theta");
-  problem.max_bundle_size = static_cast<int>(flags.GetInt("k"));
-  problem.price_levels = static_cast<int>(flags.GetInt("levels"));
 
   SolveRequest request;
   request.problem = &problem;
@@ -284,11 +294,16 @@ int main(int argc, char** argv) {
   if (!solve_response.ok()) return FailWith(solve_response.status());
   const BundleSolution& solution = solve_response->solution;
 
-  std::printf("\n%s: revenue %.2f | coverage %.1f%% | gain %+.2f%% | %.2fs | "
+  // A dataset on which Components earns nothing has no gain over it.
+  const std::string gain =
+      components.total_revenue > 0.0
+          ? StrFormat("%+.2f%%", 100 * RevenueGain(solution, components))
+          : std::string("-");
+  std::printf("\n%s: revenue %.2f | coverage %.1f%% | gain %s | %.2fs | "
               "%lld candidates priced%s\n",
               solution.method.c_str(), solution.total_revenue,
-              100 * RevenueCoverage(solution, wtp),
-              100 * RevenueGain(solution, components), solution.solve_seconds,
+              100 * RevenueCoverage(solution, wtp), gain.c_str(),
+              solution.solve_seconds,
               static_cast<long long>(solve_response->stats.pairs_evaluated),
               solve_response->stats.deadline_hit ? " (deadline hit)" : "");
 

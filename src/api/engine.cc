@@ -1,6 +1,5 @@
 #include "api/engine.h"
 
-#include <algorithm>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -109,16 +108,6 @@ Status ValidateMethodKey(const std::string& method) {
   return Status::Ok();
 }
 
-Status ValidateDatasetProfile(const std::string& profile) {
-  const std::vector<std::string>& profiles = KnownDatasetProfiles();
-  if (std::find(profiles.begin(), profiles.end(), profile) == profiles.end()) {
-    return Status::InvalidArgument(StrFormat(
-        "unknown dataset profile '%s' (valid: %s)", profile.c_str(),
-        JoinStrings(profiles, ", ").c_str()));
-  }
-  return Status::Ok();
-}
-
 StatusOr<SolveResponse> Engine::Solve(const SolveRequest& request) {
   if (Status method = ValidateMethodKey(request.method); !method.ok()) {
     return method;
@@ -139,6 +128,11 @@ StatusOr<SolveResponse> Engine::Solve(const SolveRequest& request) {
   } else if (request.dataset.has_value()) {
     const DatasetSpec& spec = *request.dataset;
     if (Status valid = ValidateDataset(spec); !valid.ok()) return valid;
+    std::string diagnostic;
+    if (!ValidateProblemKnobs(request.theta, request.max_bundle_size,
+                              request.price_levels, &diagnostic)) {
+      return Status::InvalidArgument("invalid problem: " + diagnostic);
+    }
     dataset_holder = DatasetFor(spec);
     wtp_holder =
         WtpFor(DatasetCacheKey(spec), "", *dataset_holder, spec.lambda);

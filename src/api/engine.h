@@ -298,10 +298,6 @@ std::string DatasetCacheKey(const DatasetSpec& spec);
 /// reject a typo before doing expensive dataset work.
 Status ValidateMethodKey(const std::string& method);
 
-/// OK iff `profile` is a known dataset profile; otherwise the
-/// INVALID_ARGUMENT error Solve would return, listing the known profiles.
-Status ValidateDatasetProfile(const std::string& profile);
-
 /// Resolves a scenario argument the way `configurator_cli --spec` accepts
 /// it: a built-in preset name, "@path" naming a spec file, or inline
 /// "key=value;..." text. The result is validated. Errors: NOT_FOUND for an

@@ -1,7 +1,7 @@
-// Auxiliary matchers: an exact brute-force oracle (bitmask DP) for testing
-// the blossom implementation, and a greedy 1/2-approximate matcher used as a
-// scalability fallback and in the matching-oracle ablation (README, "Scenario
-// engine": `matching-limit` 0; ablation 4 of bench/bench_ablations.cc).
+// The greedy 1/2-approximate matcher, used as a scalability fallback and in
+// the matching-oracle ablation (README, "Scenario engine": `matching-limit`
+// 0; ablation 4 of bench/bench_ablations.cc). The exact brute-force oracle
+// the tests compare the blossom matcher against is in tests/oracles/.
 
 #ifndef BUNDLEMINE_MATCHING_SIMPLE_MATCHERS_H_
 #define BUNDLEMINE_MATCHING_SIMPLE_MATCHERS_H_
@@ -18,11 +18,6 @@ struct WeightedEdge {
   int v = 0;
   double w = 0.0;
 };
-
-/// Exact maximum-weight matching by DP over vertex subsets — O(2^V · V).
-/// Intended as a test oracle; requires num_vertices ≤ 24.
-MatchingResult BruteForceMaxWeightMatching(int num_vertices,
-                                           const std::vector<WeightedEdge>& edges);
 
 /// Greedy matching: scan edges by decreasing weight, keep an edge when both
 /// endpoints are free. Guarantees ≥ 1/2 of the optimal weight; O(E log E).

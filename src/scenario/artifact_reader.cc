@@ -66,51 +66,6 @@ bool GetDouble(const JsonValue& object, const std::string& key, double* out,
   return true;
 }
 
-bool ReadDataset(const JsonValue& json, DatasetSpec* dataset,
-                 std::string* error) {
-  std::int64_t seed = 0;
-  if (!GetString(json, "profile", &dataset->profile, error)) return false;
-  if (!GetInt(json, "seed", &seed, error)) return false;
-  dataset->seed = static_cast<std::uint64_t>(seed);
-  if (!GetDouble(json, "lambda", &dataset->lambda, error)) return false;
-  if (json.FindMember("activity_sigma") != nullptr) {
-    double value = 0.0;
-    if (!GetDouble(json, "activity_sigma", &value, error)) return false;
-    dataset->activity_sigma = value;
-  }
-  if (json.FindMember("background_mass") != nullptr) {
-    double value = 0.0;
-    if (!GetDouble(json, "background_mass", &value, error)) return false;
-    dataset->background_mass = value;
-  }
-  if (json.FindMember("popularity_exponent") != nullptr) {
-    double value = 0.0;
-    if (!GetDouble(json, "popularity_exponent", &value, error)) return false;
-    dataset->popularity_exponent = value;
-  }
-  if (json.FindMember("genres_per_user") != nullptr) {
-    std::int64_t value = 0;
-    if (!GetInt(json, "genres_per_user", &value, error)) return false;
-    dataset->genres_per_user = static_cast<int>(value);
-  }
-  if (json.FindMember("num_users") != nullptr) {
-    std::int64_t value = 0;
-    if (!GetInt(json, "num_users", &value, error)) return false;
-    dataset->num_users = static_cast<int>(value);
-  }
-  if (json.FindMember("num_items") != nullptr) {
-    std::int64_t value = 0;
-    if (!GetInt(json, "num_items", &value, error)) return false;
-    dataset->num_items = static_cast<int>(value);
-  }
-  if (json.FindMember("item_sample") != nullptr) {
-    std::int64_t value = 0;
-    if (!GetInt(json, "item_sample", &value, error)) return false;
-    dataset->item_sample = static_cast<int>(value);
-  }
-  return true;
-}
-
 bool ReadScenario(const JsonValue& json, ScenarioSpec* spec, std::string* error) {
   if (!GetString(json, "name", &spec->name, error)) return false;
   if (!GetString(json, "description", &spec->description, error)) return false;
@@ -119,18 +74,15 @@ bool ReadScenario(const JsonValue& json, ScenarioSpec* spec, std::string* error)
   if (!GetMember(json, "dataset", JsonValue::Kind::kObject, &dataset, error)) {
     return false;
   }
-  if (!ReadDataset(*dataset, &spec->dataset, error)) return false;
+  if (!ReadDatasetKnobs(*dataset, "dataset", &spec->dataset, error)) {
+    return false;
+  }
 
   const JsonValue* base = nullptr;
   if (!GetMember(json, "base", JsonValue::Kind::kObject, &base, error)) {
     return false;
   }
-  std::int64_t k = 0, levels = 0;
-  if (!GetDouble(*base, "theta", &spec->theta, error)) return false;
-  if (!GetInt(*base, "k", &k, error)) return false;
-  if (!GetInt(*base, "levels", &levels, error)) return false;
-  spec->max_bundle_size = static_cast<int>(k);
-  spec->price_levels = static_cast<int>(levels);
+  if (!ReadProblemKnobs(*base, "base", spec, error)) return false;
 
   const JsonValue* methods = nullptr;
   if (!GetMember(json, "methods", JsonValue::Kind::kArray, &methods, error)) {

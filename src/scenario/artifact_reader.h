@@ -23,7 +23,8 @@
 namespace bundlemine {
 
 /// Parses a rendered artifact. Errors: INVALID_ARGUMENT for malformed JSON,
-/// a wrong schema name/version, or a missing/mistyped field.
+/// a wrong schema name/version, a missing/mistyped field, or a knob outside
+/// its domain (absent dataset and base knobs read as their defaults).
 StatusOr<SweepResult> ParseSweepArtifact(const std::string& json_text);
 
 /// Reads and parses the artifact at `path`. NOT_FOUND when the file cannot

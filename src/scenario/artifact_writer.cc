@@ -5,46 +5,12 @@
 namespace bundlemine {
 namespace {
 
-JsonValue DatasetJson(const DatasetSpec& dataset) {
-  JsonValue out = JsonValue::Object();
-  out.Set("profile", JsonValue::Str(dataset.profile));
-  out.Set("seed", JsonValue::Int(static_cast<std::int64_t>(dataset.seed)));
-  out.Set("lambda", JsonValue::Double(dataset.lambda));
-  if (dataset.activity_sigma) {
-    out.Set("activity_sigma", JsonValue::Double(*dataset.activity_sigma));
-  }
-  if (dataset.background_mass) {
-    out.Set("background_mass", JsonValue::Double(*dataset.background_mass));
-  }
-  if (dataset.popularity_exponent) {
-    out.Set("popularity_exponent",
-            JsonValue::Double(*dataset.popularity_exponent));
-  }
-  if (dataset.genres_per_user) {
-    out.Set("genres_per_user", JsonValue::Int(*dataset.genres_per_user));
-  }
-  if (dataset.num_users) {
-    out.Set("num_users", JsonValue::Int(*dataset.num_users));
-  }
-  if (dataset.num_items) {
-    out.Set("num_items", JsonValue::Int(*dataset.num_items));
-  }
-  if (dataset.item_sample) {
-    out.Set("item_sample", JsonValue::Int(*dataset.item_sample));
-  }
-  return out;
-}
-
 JsonValue ScenarioJson(const ScenarioSpec& spec) {
   JsonValue out = JsonValue::Object();
   out.Set("name", JsonValue::Str(spec.name));
   out.Set("description", JsonValue::Str(spec.description));
-  out.Set("dataset", DatasetJson(spec.dataset));
-  JsonValue base = JsonValue::Object();
-  base.Set("theta", JsonValue::Double(spec.theta));
-  base.Set("k", JsonValue::Int(spec.max_bundle_size));
-  base.Set("levels", JsonValue::Int(spec.price_levels));
-  out.Set("base", std::move(base));
+  out.Set("dataset", DatasetKnobsJson(spec.dataset));
+  out.Set("base", ProblemKnobsJson(spec));
   JsonValue methods = JsonValue::Array();
   for (const std::string& method : spec.methods) {
     methods.Add(JsonValue::Str(method));

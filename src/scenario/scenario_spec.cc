@@ -1,26 +1,339 @@
 #include "scenario/scenario_spec.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <type_traits>
+#include <utility>
+#include <variant>
 
 #include "core/bundler_registry.h"
 #include "util/check.h"
-#include "util/json.h"
 #include "util/strings.h"
 
 namespace bundlemine {
 namespace {
 
-bool KnownProfile(const std::string& name) {
-  for (const std::string& p : KnownDatasetProfiles()) {
-    if (name == p) return true;
-  }
-  return false;
-}
-
 bool Fail(std::string* error, std::string message) {
   if (error != nullptr) *error = std::move(message);
   return false;
+}
+
+// ---------------------------------------------------------------------------
+// The knob table.
+// ---------------------------------------------------------------------------
+
+// How a knob's value is written: a dataset profile name, an integer, or a
+// finite real.
+enum class KnobType { kProfile, kInteger, kReal };
+constexpr const char* kTypeNames[] = {"a string", "an integer", "a number"};
+
+enum class KnobGroup {
+  kDataset,   // A DatasetSpec member that selects the generated dataset.
+  kWtp,       // Lambda: a DatasetSpec member applied after generation.
+  kProblem,   // A ScenarioSpec base member.
+  kAxisOnly,  // Set per cell by its axis alone (adoption model, method).
+};
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+// Integer knobs that land in an int (every one but the seed) say so in
+// their upper bound, so no cast of an admitted value overflows.
+constexpr double kMaxInt = std::numeric_limits<int>::max();
+
+// lo < value (lo <= value when closed) and value <= hi.
+struct Domain {
+  double lo;
+  bool lo_open;
+  double hi;
+};
+
+constexpr Domain kNonNegative{0, false, kInf};
+constexpr Domain kPositive{0, true, kInf};
+constexpr Domain kCountFromZero{0, false, kMaxInt};
+constexpr Domain kCountFromOne{1, false, kMaxInt};
+constexpr Domain kToggle{0, false, 1};
+
+// The member a knob sets; none for axis-only knobs, which the sweep runner
+// applies to each cell's problem.
+using KnobMember =
+    std::variant<std::monostate, std::string DatasetSpec::*,
+                 std::uint64_t DatasetSpec::*, double DatasetSpec::*,
+                 std::optional<double> DatasetSpec::*,
+                 std::optional<int> DatasetSpec::*, double ScenarioSpec::*,
+                 int ScenarioSpec::*>;
+
+struct Knob {
+  KnobGroup group;
+  const char* key;   // Spec-text key; nullptr when only an axis sets it.
+  const char* json;  // JSON member name; nullptr when not in JSON.
+  std::optional<AxisKind> axis;  // Set when the knob can be swept.
+  const char* axis_name;
+  const char* description;  // --list-axes line.
+  KnobType type;
+  Domain domain;  // Unused for kProfile (kProfiles).
+  KnobMember member;
+};
+
+constexpr const char* kProfiles[] = {"tiny", "small", "medium", "paper"};
+
+// Row order is the order of FormatScenarioSpec's lines, DatasetKey's fields
+// and the JSON objects' members.
+const Knob kKnobs[] = {
+    {KnobGroup::kDataset, "scale", "profile", std::nullopt, nullptr, nullptr,
+     KnobType::kProfile, kNonNegative, &DatasetSpec::profile},
+    {KnobGroup::kDataset, "seed", "seed", std::nullopt, nullptr, nullptr,
+     KnobType::kInteger, kNonNegative, &DatasetSpec::seed},
+    {KnobGroup::kWtp, "lambda", "lambda", AxisKind::kLambda, "lambda",
+     "ratings->WTP conversion factor", KnobType::kReal, {0, true, 100},
+     &DatasetSpec::lambda},
+    {KnobGroup::kDataset, "activity-sigma", "activity_sigma", std::nullopt,
+     nullptr, nullptr, KnobType::kReal, kNonNegative,
+     &DatasetSpec::activity_sigma},
+    {KnobGroup::kDataset, "background-mass", "background_mass", std::nullopt,
+     nullptr, nullptr, KnobType::kReal, kNonNegative,
+     &DatasetSpec::background_mass},
+    {KnobGroup::kDataset, "popularity-exponent", "popularity_exponent",
+     std::nullopt, nullptr, nullptr, KnobType::kReal, kNonNegative,
+     &DatasetSpec::popularity_exponent},
+    {KnobGroup::kDataset, "genres-per-user", "genres_per_user", std::nullopt,
+     nullptr, nullptr, KnobType::kInteger, kCountFromOne,
+     &DatasetSpec::genres_per_user},
+    {KnobGroup::kDataset, "num-users", "num_users", AxisKind::kNumUsers,
+     "num_users", "pre-filter generator users (per-cell dataset regeneration)",
+     KnobType::kInteger, kCountFromOne, &DatasetSpec::num_users},
+    {KnobGroup::kDataset, "num-items", "num_items", AxisKind::kNumItems,
+     "num_items", "pre-filter generator items (per-cell dataset regeneration)",
+     KnobType::kInteger, kCountFromOne, &DatasetSpec::num_items},
+    {KnobGroup::kDataset, "item-sample", "item_sample", AxisKind::kItemSample,
+     "item-sample", "random N-item subsample of the catalogue, all users kept",
+     KnobType::kInteger, kCountFromOne, &DatasetSpec::item_sample},
+    {KnobGroup::kProblem, "theta", "theta", AxisKind::kTheta, "theta",
+     "bundling coefficient theta (Eq. 1)", KnobType::kReal, {-1, false, 1},
+     &ScenarioSpec::theta},
+    {KnobGroup::kProblem, "k", "k", AxisKind::kK, "k",
+     "max bundle size k (0 = unconstrained)", KnobType::kInteger,
+     kCountFromZero, &ScenarioSpec::max_bundle_size},
+    {KnobGroup::kProblem, "levels", "levels", AxisKind::kLevels, "levels",
+     "price grid resolution T (0 = exact)", KnobType::kInteger, kCountFromZero,
+     &ScenarioSpec::price_levels},
+    {KnobGroup::kAxisOnly, nullptr, nullptr, AxisKind::kGamma, "gamma",
+     "sigmoid price sensitivity gamma", KnobType::kReal, kPositive, {}},
+    {KnobGroup::kAxisOnly, nullptr, nullptr, AxisKind::kAlpha, "alpha",
+     "adoption bias alpha", KnobType::kReal, kPositive, {}},
+    {KnobGroup::kAxisOnly, nullptr, nullptr, AxisKind::kPruneCoInterest,
+     "prune-co-interest", "round-1 co-interest pruning toggle (0/1)",
+     KnobType::kInteger, kToggle, {}},
+    {KnobGroup::kAxisOnly, nullptr, nullptr, AxisKind::kPruneStaleEdges,
+     "prune-stale-edges", "later-round stale-edge pruning toggle (0/1)",
+     KnobType::kInteger, kToggle, {}},
+    {KnobGroup::kAxisOnly, nullptr, nullptr, AxisKind::kMatchingLimit,
+     "matching-limit",
+     "exact-blossom vertex ceiling (0 forces the greedy oracle)",
+     KnobType::kInteger, kCountFromZero, {}},
+    {KnobGroup::kAxisOnly, nullptr, nullptr, AxisKind::kComposition,
+     "composition", "mixed upgrade composition: 0 = min-slack, 1 = product",
+     KnobType::kInteger, kToggle, {}},
+    {KnobGroup::kAxisOnly, nullptr, nullptr, AxisKind::kFreqSupport,
+     "freq-support", "freq-itemset minimum support fraction in (0, 1]",
+     KnobType::kReal, {0, true, 1}, {}},
+};
+
+const Knob& KnobForAxis(AxisKind kind) {
+  for (const Knob& knob : kKnobs) {
+    if (knob.axis == kind) return knob;
+  }
+  BM_CHECK_MSG(false, "axis kind without a knob");
+  return kKnobs[0];
+}
+
+// Knob values travel as JsonValues (string, int64 or double), the one form
+// spec text, the wire and artifacts share.
+JsonValue ToJson(const std::string& v) { return JsonValue::Str(v); }
+// A seed above int64 range reads back negative and fails its domain.
+JsonValue ToJson(std::uint64_t v) {
+  return JsonValue::Int(static_cast<std::int64_t>(v));
+}
+JsonValue ToJson(int v) { return JsonValue::Int(v); }
+JsonValue ToJson(double v) { return JsonValue::Double(v); }
+template <class T>
+std::optional<JsonValue> ToJson(const std::optional<T>& v) {
+  if (!v) return std::nullopt;
+  return ToJson(*v);
+}
+
+// Callers check the value's kind and domain first.
+void FromJson(const JsonValue& v, std::string* out) { *out = v.AsString(); }
+void FromJson(const JsonValue& v, std::uint64_t* out) {
+  *out = static_cast<std::uint64_t>(v.AsInt());
+}
+void FromJson(const JsonValue& v, int* out) {
+  *out = static_cast<int>(v.AsInt());
+}
+void FromJson(const JsonValue& v, double* out) { *out = v.AsDouble(); }
+template <class T>
+void FromJson(const JsonValue& v, std::optional<T>* out) {
+  FromJson(v, &out->emplace());
+}
+
+// The field `member` names in `spec` (a ScenarioSpec, const or not).
+template <class Spec, class T, class Class>
+auto& Field(Spec& spec, T Class::*member) {
+  if constexpr (std::is_same_v<Class, DatasetSpec>) {
+    return spec.dataset.*member;
+  } else {
+    return spec.*member;
+  }
+}
+
+// The knob's value in `spec`; nullopt when unset or axis-only.
+std::optional<JsonValue> KnobValue(const Knob& knob, const ScenarioSpec& spec) {
+  return std::visit(
+      [&spec](auto member) -> std::optional<JsonValue> {
+        if constexpr (std::is_same_v<decltype(member), std::monostate>) {
+          return std::nullopt;
+        } else {
+          return ToJson(Field(spec, member));
+        }
+      },
+      knob.member);
+}
+
+void SetKnob(const Knob& knob, const JsonValue& value, ScenarioSpec* spec) {
+  std::visit(
+      [&](auto member) {
+        if constexpr (!std::is_same_v<decltype(member), std::monostate>) {
+          FromJson(value, &Field(*spec, member));
+        }
+      },
+      knob.member);
+}
+
+// A ScenarioSpec holding `dataset` and default base knobs, for the
+// dataset-only entry points.
+ScenarioSpec Holding(const DatasetSpec& dataset) {
+  ScenarioSpec spec;
+  spec.dataset = dataset;
+  return spec;
+}
+
+// Spec-text and diagnostic form of a knob value.
+std::string ValueText(const JsonValue& value) {
+  switch (value.kind()) {
+    case JsonValue::Kind::kString:
+      return value.AsString();
+    case JsonValue::Kind::kInt:
+      return StrFormat("%lld", static_cast<long long>(value.AsInt()));
+    default:
+      return std::isfinite(value.AsDouble())
+                 ? FormatDoubleShortest(value.AsDouble())
+                 : StrFormat("%g", value.AsDouble());
+  }
+}
+
+bool InDomain(const Knob& knob, double value) {
+  if (!std::isfinite(value)) return false;
+  if (knob.type == KnobType::kInteger && std::floor(value) != value) {
+    return false;
+  }
+  const Domain& d = knob.domain;
+  return (d.lo_open ? value > d.lo : value >= d.lo) && value <= d.hi;
+}
+
+std::string DomainText(const Knob& knob) {
+  const Domain& d = knob.domain;
+  const char* what = knob.type == KnobType::kInteger ? "integers" : "values";
+  if (d.hi == kInf) {
+    if (d.lo == 0 && d.lo_open) return StrFormat("positive %s", what);
+    return StrFormat("%s %s %.10g", what, d.lo_open ? ">" : ">=", d.lo);
+  }
+  return StrFormat("%s in %c%.10g, %.10g]", what, d.lo_open ? '(' : '[', d.lo,
+                   d.hi);
+}
+
+// The one domain check, for spec-text keys, axis values (`axis`), JSON
+// members and struct fields.
+bool CheckKnob(const Knob& knob, const JsonValue& value, std::string* error,
+               bool axis = false) {
+  if (knob.type == KnobType::kProfile) {
+    std::string valid;
+    for (const char* profile : kProfiles) {
+      if (value.AsString() == profile) return true;
+      valid += valid.empty() ? profile : std::string(", ") + profile;
+    }
+    return Fail(error, "unknown dataset profile '" + value.AsString() +
+                           "' (valid: " + valid + ")");
+  }
+  if (InDomain(knob, value.AsDouble())) return true;
+  const std::string name =
+      axis ? StrFormat("axis '%s'", knob.axis_name) : std::string(knob.key);
+  return Fail(error, StrFormat("%s needs %s, got %s", name.c_str(),
+                               DomainText(knob).c_str(),
+                               ValueText(value).c_str()));
+}
+
+// Checks every knob `spec` sets, in table order.
+bool CheckKnobs(const ScenarioSpec& spec, std::string* error) {
+  for (const Knob& knob : kKnobs) {
+    std::optional<JsonValue> value = KnobValue(knob, spec);
+    if (value && !CheckKnob(knob, *value, error)) return false;
+  }
+  return true;
+}
+
+std::optional<JsonValue> ParseKnobText(const Knob& knob,
+                                       const std::string& text) {
+  switch (knob.type) {
+    case KnobType::kProfile:
+      return JsonValue::Str(text);
+    case KnobType::kInteger:
+      if (std::optional<long long> i = ParseInt(text)) return JsonValue::Int(*i);
+      return std::nullopt;
+    case KnobType::kReal:
+      if (std::optional<double> d = ParseDouble(text)) {
+        return JsonValue::Double(*d);
+      }
+      return std::nullopt;
+  }
+  return std::nullopt;
+}
+
+// Whether a knob belongs to the JSON object of the dataset knobs
+// (`problem` false) or of the base problem knobs (true).
+bool InJson(const Knob& knob, bool problem) {
+  return knob.json != nullptr && (knob.group == KnobGroup::kProblem) == problem;
+}
+
+JsonValue KnobsJson(const ScenarioSpec& spec, bool problem) {
+  JsonValue out = JsonValue::Object();
+  for (const Knob& knob : kKnobs) {
+    if (!InJson(knob, problem)) continue;
+    if (std::optional<JsonValue> value = KnobValue(knob, spec)) {
+      out.Set(knob.json, std::move(*value));
+    }
+  }
+  return out;
+}
+
+bool ReadKnobsJson(const JsonValue& object, const char* what, bool problem,
+                   ScenarioSpec* spec, std::string* error) {
+  for (const Knob& knob : kKnobs) {
+    if (!InJson(knob, problem)) continue;
+    const JsonValue* value = object.FindMember(knob.json);
+    if (value == nullptr) continue;
+    const JsonValue::Kind kind = value->kind();
+    const bool fits =
+        knob.type == KnobType::kProfile   ? kind == JsonValue::Kind::kString
+        : knob.type == KnobType::kInteger ? kind == JsonValue::Kind::kInt
+                                          : kind == JsonValue::Kind::kInt ||
+                                                kind == JsonValue::Kind::kDouble;
+    if (!fits) {
+      return Fail(error, StrFormat("%s field '%s' must be %s", what, knob.json,
+                                   kTypeNames[static_cast<int>(knob.type)]));
+    }
+    if (!CheckKnob(knob, *value, error)) return false;
+    SetKnob(knob, *value, spec);
+  }
+  return true;
 }
 
 // Splits the spec text into trimmed, non-empty "key=value" tokens.
@@ -55,54 +368,10 @@ std::string JoinDoubles(const std::vector<double>& values) {
 
 }  // namespace
 
-std::string AxisKindName(AxisKind kind) {
-  switch (kind) {
-    case AxisKind::kTheta: return "theta";
-    case AxisKind::kK: return "k";
-    case AxisKind::kGamma: return "gamma";
-    case AxisKind::kAlpha: return "alpha";
-    case AxisKind::kLambda: return "lambda";
-    case AxisKind::kLevels: return "levels";
-    case AxisKind::kNumUsers: return "num_users";
-    case AxisKind::kNumItems: return "num_items";
-    case AxisKind::kItemSample: return "item-sample";
-    case AxisKind::kPruneCoInterest: return "prune-co-interest";
-    case AxisKind::kPruneStaleEdges: return "prune-stale-edges";
-    case AxisKind::kMatchingLimit: return "matching-limit";
-    case AxisKind::kComposition: return "composition";
-    case AxisKind::kFreqSupport: return "freq-support";
-  }
-  BM_CHECK_MSG(false, "unreachable axis kind");
-  return "";
-}
+std::string AxisKindName(AxisKind kind) { return KnobForAxis(kind).axis_name; }
 
 std::string AxisKindDescription(AxisKind kind) {
-  switch (kind) {
-    case AxisKind::kTheta: return "bundling coefficient theta (Eq. 1)";
-    case AxisKind::kK: return "max bundle size k (0 = unconstrained)";
-    case AxisKind::kGamma: return "sigmoid price sensitivity gamma";
-    case AxisKind::kAlpha: return "adoption bias alpha";
-    case AxisKind::kLambda: return "ratings->WTP conversion factor";
-    case AxisKind::kLevels: return "price grid resolution T (0 = exact)";
-    case AxisKind::kNumUsers:
-      return "pre-filter generator users (per-cell dataset regeneration)";
-    case AxisKind::kNumItems:
-      return "pre-filter generator items (per-cell dataset regeneration)";
-    case AxisKind::kItemSample:
-      return "random N-item subsample of the catalogue, all users kept";
-    case AxisKind::kPruneCoInterest:
-      return "round-1 co-interest pruning toggle (0/1)";
-    case AxisKind::kPruneStaleEdges:
-      return "later-round stale-edge pruning toggle (0/1)";
-    case AxisKind::kMatchingLimit:
-      return "exact-blossom vertex ceiling (0 forces the greedy oracle)";
-    case AxisKind::kComposition:
-      return "mixed upgrade composition: 0 = min-slack, 1 = product";
-    case AxisKind::kFreqSupport:
-      return "freq-itemset minimum support fraction in (0, 1]";
-  }
-  BM_CHECK_MSG(false, "unreachable axis kind");
-  return "";
+  return KnobForAxis(kind).description;
 }
 
 const std::vector<AxisKind>& AllAxisKinds() {
@@ -118,8 +387,7 @@ const std::vector<AxisKind>& AllAxisKinds() {
 }
 
 bool IsDatasetAxis(AxisKind kind) {
-  return kind == AxisKind::kNumUsers || kind == AxisKind::kNumItems ||
-         kind == AxisKind::kItemSample;
+  return KnobForAxis(kind).group == KnobGroup::kDataset;
 }
 
 bool HasDatasetAxes(const ScenarioSpec& spec) {
@@ -141,30 +409,37 @@ std::optional<std::vector<double>> ParseDoubleList(std::string_view value) {
 }
 
 std::optional<AxisKind> AxisKindByName(std::string_view name) {
-  for (AxisKind kind : AllAxisKinds()) {
-    if (name == AxisKindName(kind)) return kind;
+  for (const Knob& knob : kKnobs) {
+    if (knob.axis && name == knob.axis_name) return knob.axis;
   }
   return std::nullopt;
 }
 
-std::string DatasetKey(const DatasetSpec& spec) {
-  std::string key = spec.profile;
-  key += "|seed=" + StrFormat("%llu", static_cast<unsigned long long>(spec.seed));
-  if (spec.activity_sigma) {
-    key += "|sigma=" + FormatDoubleShortest(*spec.activity_sigma);
+ScenarioSpec WithAxisValues(const ScenarioSpec& spec,
+                            const std::vector<double>& axis_values) {
+  ScenarioSpec out = spec;
+  for (std::size_t a = 0; a < spec.axes.size(); ++a) {
+    const Knob& knob = KnobForAxis(spec.axes[a].kind);
+    const double v = axis_values[a];
+    SetKnob(knob,
+            knob.type == KnobType::kInteger
+                ? JsonValue::Int(static_cast<std::int64_t>(v))
+                : JsonValue::Double(v),
+            &out);
   }
-  if (spec.background_mass) {
-    key += "|mass=" + FormatDoubleShortest(*spec.background_mass);
+  return out;
+}
+
+std::string DatasetKey(const DatasetSpec& dataset) {
+  const ScenarioSpec spec = Holding(dataset);
+  std::string key;
+  for (const Knob& knob : kKnobs) {
+    if (knob.group != KnobGroup::kDataset) continue;
+    if (std::optional<JsonValue> value = KnobValue(knob, spec)) {
+      if (!key.empty()) key += ";";
+      key += StrFormat("%s=%s", knob.key, ValueText(*value).c_str());
+    }
   }
-  if (spec.popularity_exponent) {
-    key += "|pop=" + FormatDoubleShortest(*spec.popularity_exponent);
-  }
-  if (spec.genres_per_user) {
-    key += "|genres=" + StrFormat("%d", *spec.genres_per_user);
-  }
-  if (spec.num_users) key += "|users=" + StrFormat("%d", *spec.num_users);
-  if (spec.num_items) key += "|items=" + StrFormat("%d", *spec.num_items);
-  if (spec.item_sample) key += "|sample=" + StrFormat("%d", *spec.item_sample);
   return key;
 }
 
@@ -196,72 +471,29 @@ std::optional<ScenarioSpec> ParseScenarioSpec(std::string_view text,
 
     if (key == "name") {
       spec.name = value;
-    } else if (key == "description") {
+      continue;
+    }
+    if (key == "description") {
       spec.description = value;
-    } else if (key == "scale") {
-      spec.dataset.profile = value;
-    } else if (key == "seed") {
-      std::optional<long long> seed = ParseInt(value);
-      if (!seed || *seed < 0) return fail("bad seed '" + value + "'");
-      spec.dataset.seed = static_cast<std::uint64_t>(*seed);
-    } else if (key == "lambda") {
-      std::optional<double> d = ParseDouble(value);
-      if (!d) return fail("bad lambda '" + value + "'");
-      spec.dataset.lambda = *d;
-    } else if (key == "theta") {
-      std::optional<double> d = ParseDouble(value);
-      if (!d) return fail("bad theta '" + value + "'");
-      spec.theta = *d;
-    } else if (key == "k") {
-      std::optional<long long> k = ParseInt(value);
-      if (!k || *k < 0) return fail("bad k '" + value + "'");
-      spec.max_bundle_size = static_cast<int>(*k);
-    } else if (key == "levels") {
-      std::optional<long long> levels = ParseInt(value);
-      if (!levels || *levels < 0) return fail("bad levels '" + value + "'");
-      spec.price_levels = static_cast<int>(*levels);
-    } else if (key == "methods") {
+      continue;
+    }
+    if (key == "methods") {
       for (const std::string& piece : Split(value, ',')) {
         std::string method(StripWhitespace(piece));
         if (!method.empty()) spec.methods.push_back(std::move(method));
       }
-    } else if (key == "activity-sigma") {
-      std::optional<double> d = ParseDouble(value);
-      if (!d) return fail("bad activity-sigma '" + value + "'");
-      spec.dataset.activity_sigma = *d;
-    } else if (key == "background-mass") {
-      std::optional<double> d = ParseDouble(value);
-      if (!d) return fail("bad background-mass '" + value + "'");
-      spec.dataset.background_mass = *d;
-    } else if (key == "popularity-exponent") {
-      std::optional<double> d = ParseDouble(value);
-      if (!d) return fail("bad popularity-exponent '" + value + "'");
-      spec.dataset.popularity_exponent = *d;
-    } else if (key == "genres-per-user") {
-      std::optional<long long> g = ParseInt(value);
-      if (!g || *g <= 0) return fail("bad genres-per-user '" + value + "'");
-      spec.dataset.genres_per_user = static_cast<int>(*g);
-    } else if (key == "num-users") {
-      std::optional<long long> n = ParseInt(value);
-      if (!n || *n <= 0 || *n > std::numeric_limits<int>::max()) {
-        return fail("bad num-users '" + value + "'");
-      }
-      spec.dataset.num_users = static_cast<int>(*n);
-    } else if (key == "num-items") {
-      std::optional<long long> n = ParseInt(value);
-      if (!n || *n <= 0 || *n > std::numeric_limits<int>::max()) {
-        return fail("bad num-items '" + value + "'");
-      }
-      spec.dataset.num_items = static_cast<int>(*n);
-    } else if (key == "item-sample") {
-      std::optional<long long> n = ParseInt(value);
-      if (!n || *n <= 0 || *n > std::numeric_limits<int>::max()) {
-        return fail("bad item-sample '" + value + "'");
-      }
-      spec.dataset.item_sample = static_cast<int>(*n);
-    } else {
-      return fail("unknown key '" + key + "'");
+      continue;
     }
+    const Knob* knob = nullptr;
+    for (const Knob& k : kKnobs) {
+      if (k.key != nullptr && key == k.key) knob = &k;
+    }
+    if (knob == nullptr) return fail("unknown key '" + key + "'");
+    std::optional<JsonValue> parsed = ParseKnobText(*knob, value);
+    if (!parsed) return fail("bad " + key + " '" + value + "'");
+    std::string domain_error;
+    if (!CheckKnob(*knob, *parsed, &domain_error)) return fail(domain_error);
+    SetKnob(*knob, *parsed, &spec);
   }
   return spec;
 }
@@ -276,34 +508,12 @@ std::string FormatScenarioSpec(const ScenarioSpec& spec) {
   };
   if (!spec.name.empty()) line("name", spec.name);
   if (!spec.description.empty()) line("description", spec.description);
-  line("scale", spec.dataset.profile);
-  line("seed", StrFormat("%llu", static_cast<unsigned long long>(spec.dataset.seed)));
-  line("lambda", FormatDoubleShortest(spec.dataset.lambda));
-  if (spec.dataset.activity_sigma) {
-    line("activity-sigma", FormatDoubleShortest(*spec.dataset.activity_sigma));
+  for (const Knob& knob : kKnobs) {
+    if (knob.key == nullptr) continue;
+    if (std::optional<JsonValue> value = KnobValue(knob, spec)) {
+      line(knob.key, ValueText(*value));
+    }
   }
-  if (spec.dataset.background_mass) {
-    line("background-mass", FormatDoubleShortest(*spec.dataset.background_mass));
-  }
-  if (spec.dataset.popularity_exponent) {
-    line("popularity-exponent",
-         FormatDoubleShortest(*spec.dataset.popularity_exponent));
-  }
-  if (spec.dataset.genres_per_user) {
-    line("genres-per-user", StrFormat("%d", *spec.dataset.genres_per_user));
-  }
-  if (spec.dataset.num_users) {
-    line("num-users", StrFormat("%d", *spec.dataset.num_users));
-  }
-  if (spec.dataset.num_items) {
-    line("num-items", StrFormat("%d", *spec.dataset.num_items));
-  }
-  if (spec.dataset.item_sample) {
-    line("item-sample", StrFormat("%d", *spec.dataset.item_sample));
-  }
-  line("theta", FormatDoubleShortest(spec.theta));
-  line("k", StrFormat("%d", spec.max_bundle_size));
-  line("levels", StrFormat("%d", spec.price_levels));
   std::string methods;
   for (const std::string& m : spec.methods) {
     if (!methods.empty()) methods += ",";
@@ -316,115 +526,26 @@ std::string FormatScenarioSpec(const ScenarioSpec& spec) {
   return out;
 }
 
-namespace {
-
-// Integer-kind axis values must survive the static_cast<int> the runner
-// applies — integral, finite, and inside int range — or bad user input
-// would reach undefined casts and solver CHECK aborts instead of a typed
-// diagnostic.
-bool IsIntegral(double value) {
-  return std::isfinite(value) && std::floor(value) == value &&
-         value >= static_cast<double>(std::numeric_limits<int>::min()) &&
-         value <= static_cast<double>(std::numeric_limits<int>::max());
-}
-
-// Per-kind value constraints; returns false with a diagnostic naming the
-// axis and the offending value.
-bool ValidateAxisValues(const ScenarioAxis& axis, std::string* error) {
-  const std::string name = AxisKindName(axis.kind);
-  for (double value : axis.values) {
-    if (!std::isfinite(value)) {
-      return Fail(error, "axis '" + name + "' has a non-finite value");
-    }
-    switch (axis.kind) {
-      case AxisKind::kTheta:
-        break;  // Any finite double.
-      case AxisKind::kGamma:
-      case AxisKind::kAlpha:
-      case AxisKind::kLambda:
-        if (value <= 0.0) {
-          return Fail(error, "axis '" + name + "' needs positive values, got " +
-                                 FormatDoubleShortest(value));
-        }
-        break;
-      case AxisKind::kK:
-      case AxisKind::kLevels:
-      case AxisKind::kMatchingLimit:
-        if (!IsIntegral(value) || value < 0) {
-          return Fail(error, "axis '" + name +
-                                 "' needs integers >= 0, got " +
-                                 FormatDoubleShortest(value));
-        }
-        break;
-      case AxisKind::kNumUsers:
-      case AxisKind::kNumItems:
-      case AxisKind::kItemSample:
-        if (!IsIntegral(value) || value < 1) {
-          return Fail(error, "axis '" + name +
-                                 "' needs integers >= 1, got " +
-                                 FormatDoubleShortest(value));
-        }
-        break;
-      case AxisKind::kPruneCoInterest:
-      case AxisKind::kPruneStaleEdges:
-      case AxisKind::kComposition:
-        if (value != 0.0 && value != 1.0) {
-          return Fail(error, "axis '" + name + "' needs 0 or 1 values, got " +
-                                 FormatDoubleShortest(value));
-        }
-        break;
-      case AxisKind::kFreqSupport:
-        if (value <= 0.0 || value > 1.0) {
-          return Fail(error, "axis 'freq-support' needs values in (0, 1], got " +
-                                 FormatDoubleShortest(value));
-        }
-        break;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 bool ValidateDatasetSpec(const DatasetSpec& dataset, std::string* error) {
-  if (!KnownProfile(dataset.profile)) {
-    std::string valid;
-    for (const std::string& p : KnownDatasetProfiles()) {
-      valid += (valid.empty() ? "" : ", ") + p;
+  return CheckKnobs(Holding(dataset), error);
+}
+
+bool ValidateProblemKnobs(double theta, std::int64_t max_bundle_size,
+                          std::int64_t price_levels, std::string* error) {
+  const std::pair<KnobMember, JsonValue> values[] = {
+      {&ScenarioSpec::theta, JsonValue::Double(theta)},
+      {&ScenarioSpec::max_bundle_size, JsonValue::Int(max_bundle_size)},
+      {&ScenarioSpec::price_levels, JsonValue::Int(price_levels)}};
+  for (const auto& [member, value] : values) {
+    for (const Knob& knob : kKnobs) {
+      if (knob.member == member && !CheckKnob(knob, value, error)) return false;
     }
-    return Fail(error, "unknown dataset profile '" + dataset.profile +
-                           "' (valid: " + valid + ")");
-  }
-  if (!(dataset.lambda > 0.0) || !std::isfinite(dataset.lambda)) {
-    return Fail(error, "lambda must be positive and finite");
-  }
-  if (dataset.num_users && *dataset.num_users <= 0) {
-    return Fail(error, "num-users must be positive");
-  }
-  if (dataset.num_items && *dataset.num_items <= 0) {
-    return Fail(error, "num-items must be positive");
-  }
-  if (dataset.item_sample && *dataset.item_sample <= 0) {
-    return Fail(error, "item-sample must be positive");
-  }
-  // The generator's domains: background mass is a categorical weight, and
-  // a negative popularity exponent overflows the Zipf weights 1/(r+1)^s.
-  const auto non_negative = [](const std::optional<double>& v) {
-    return !v || (std::isfinite(*v) && *v >= 0.0);
-  };
-  if (!non_negative(dataset.background_mass)) {
-    return Fail(error, "background-mass must be finite and >= 0");
-  }
-  if (!non_negative(dataset.popularity_exponent)) {
-    return Fail(error, "popularity-exponent must be finite and >= 0");
   }
   return true;
 }
 
 bool ValidateScenarioSpec(const ScenarioSpec& spec, std::string* error) {
-  if (!ValidateDatasetSpec(spec.dataset, error)) return false;
-  if (spec.price_levels < 0) return Fail(error, "levels must be >= 0");
-  if (spec.max_bundle_size < 0) return Fail(error, "k must be >= 0");
+  if (!CheckKnobs(spec, error)) return false;
   if (spec.methods.empty()) return Fail(error, "no methods listed");
   const BundlerRegistry& registry = BundlerRegistry::Global();
   for (const std::string& method : spec.methods) {
@@ -435,22 +556,60 @@ bool ValidateScenarioSpec(const ScenarioSpec& spec, std::string* error) {
   if (spec.axes.empty()) return Fail(error, "at least one axis is required");
   int first_position[kNumAxisKinds];
   for (int& position : first_position) position = -1;
+  // Exact pricing (levels 0) takes the step adoption model only, and a gamma
+  // axis makes every cell's model a sigmoid.
+  bool sigmoid = false, exact = spec.price_levels == 0;
   for (std::size_t a = 0; a < spec.axes.size(); ++a) {
     const ScenarioAxis& axis = spec.axes[a];
+    const Knob& knob = KnobForAxis(axis.kind);
     if (axis.values.empty()) {
-      return Fail(error, "axis '" + AxisKindName(axis.kind) + "' has no values");
+      return Fail(error, StrFormat("axis '%s' has no values", knob.axis_name));
     }
-    if (!ValidateAxisValues(axis, error)) return false;
+    for (double value : axis.values) {
+      if (!CheckKnob(knob, JsonValue::Double(value), error, /*axis=*/true)) {
+        return false;
+      }
+    }
     const std::size_t slot = static_cast<std::size_t>(axis.kind);
     if (first_position[slot] >= 0) {
       return Fail(error,
                   StrFormat("axis '%s' repeated (axes %d and %zu)",
-                            AxisKindName(axis.kind).c_str(),
-                            first_position[slot] + 1, a + 1));
+                            knob.axis_name, first_position[slot] + 1, a + 1));
     }
     first_position[slot] = static_cast<int>(a);
+    if (axis.kind == AxisKind::kGamma) sigmoid = true;
+    if (axis.kind == AxisKind::kLevels) {
+      exact = std::count(axis.values.begin(), axis.values.end(), 0.0) > 0;
+    }
+  }
+  if (sigmoid && exact) {
+    return Fail(error, "axis 'gamma' needs levels > 0 (exact pricing takes "
+                       "the step adoption model only)");
   }
   return true;
+}
+
+JsonValue DatasetKnobsJson(const DatasetSpec& dataset) {
+  return KnobsJson(Holding(dataset), /*problem=*/false);
+}
+
+JsonValue ProblemKnobsJson(const ScenarioSpec& spec) {
+  return KnobsJson(spec, /*problem=*/true);
+}
+
+bool ReadDatasetKnobs(const JsonValue& object, const char* what,
+                      DatasetSpec* dataset, std::string* error) {
+  ScenarioSpec spec = Holding(*dataset);
+  if (!ReadKnobsJson(object, what, /*problem=*/false, &spec, error)) {
+    return false;
+  }
+  *dataset = std::move(spec.dataset);
+  return true;
+}
+
+bool ReadProblemKnobs(const JsonValue& object, const char* what,
+                      ScenarioSpec* spec, std::string* error) {
+  return ReadKnobsJson(object, what, /*problem=*/true, spec, error);
 }
 
 std::vector<std::string> ScenarioSpecWarnings(const ScenarioSpec& spec) {
@@ -561,12 +720,6 @@ std::vector<ScenarioSpec> MakeBuiltins() {
 }
 
 }  // namespace
-
-const std::vector<std::string>& KnownDatasetProfiles() {
-  static const std::vector<std::string>* profiles =  // lint-allow(naked-new)
-      new std::vector<std::string>{"tiny", "small", "medium", "paper"};
-  return *profiles;
-}
 
 const std::vector<ScenarioSpec>& BuiltinScenarios() {
   static const std::vector<ScenarioSpec>* presets =  // lint-allow(naked-new)

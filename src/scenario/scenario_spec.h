@@ -26,6 +26,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/json.h"
+
 namespace bundlemine {
 
 /// What a swept axis varies. Three families:
@@ -128,6 +130,13 @@ struct ScenarioSpec {
   std::vector<ScenarioAxis> axes;    ///< ≥ 1 axis; the grid is their product.
 };
 
+/// `spec` with each of `axis_values` (one per spec axis) written over the
+/// member its axis sweeps: theta, k, levels, lambda and the dataset axes.
+/// Axis-only knobs (gamma, alpha, method config) set no member; the sweep
+/// runner applies them to the cell's problem.
+ScenarioSpec WithAxisValues(const ScenarioSpec& spec,
+                            const std::vector<double>& axis_values);
+
 /// True when any spec axis is a dataset axis — cells then solve against
 /// per-cell regenerated datasets and artifacts record per-cell dataset
 /// stats.
@@ -142,21 +151,52 @@ std::optional<ScenarioSpec> ParseScenarioSpec(std::string_view text,
 /// identical spec.
 std::string FormatScenarioSpec(const ScenarioSpec& spec);
 
+// Each dataset and problem knob's spec-text key, JSON name, axis name,
+// type and domain are stated once, in the knob table of scenario_spec.cc;
+// parsing, formatting, DatasetKey, validation, axis naming and the JSON
+// forms below all read it.
+
 /// Dataset validation shared by every front end that materializes a
-/// DatasetSpec: a known profile, a positive finite lambda, positive
-/// population overrides, and generator overrides inside the generator's
-/// domain (background-mass and popularity-exponent finite and >= 0).
+/// DatasetSpec: a known profile and every set knob inside its domain.
 /// Returns false with a diagnostic in `error`.
 bool ValidateDatasetSpec(const DatasetSpec& dataset,
                          std::string* error = nullptr);
 
-/// Structural validation: a valid dataset (ValidateDatasetSpec), at least
-/// one method and every method registered, at least one axis and every axis
-/// non-empty, no axis kind repeated (the diagnostic names the duplicate and
-/// both positions), and per-kind value constraints (integer axes integral,
-/// toggles 0/1, positive population sizes). Returns false with a
-/// diagnostic in `error`.
+/// The base problem knobs' domain check (theta, k, levels), shared by
+/// Engine::Solve's dataset-reference path and the CLI's solve flags. The
+/// integers are taken wide, so a flag value is checked before it is
+/// narrowed to an int. Returns false with a diagnostic in `error`.
+bool ValidateProblemKnobs(double theta, std::int64_t max_bundle_size,
+                          std::int64_t price_levels,
+                          std::string* error = nullptr);
+
+/// Structural validation: every knob inside its domain (the dataset's and
+/// the base problem's), at least one method and every method registered,
+/// at least one axis and every axis non-empty, no axis kind repeated (the
+/// diagnostic names the duplicate and both positions), every axis value
+/// inside its knob's domain, and no gamma axis over exact pricing (levels
+/// 0 takes the step adoption model only). Returns false with a diagnostic
+/// in `error`.
 bool ValidateScenarioSpec(const ScenarioSpec& spec, std::string* error = nullptr);
+
+/// The JSON object of the dataset knobs (the artifact's scenario "dataset";
+/// the wire's solve "dataset" and update "load" take the same form): every
+/// set knob under its JSON name, in table order.
+JsonValue DatasetKnobsJson(const DatasetSpec& dataset);
+
+/// The JSON object of the base problem knobs: theta, k, levels.
+JsonValue ProblemKnobsJson(const ScenarioSpec& spec);
+
+/// Reads the dataset knobs present in `object` into `dataset`; absent
+/// knobs keep their value, other members are ignored. A mistyped member
+/// or a value outside its knob's domain fails with a diagnostic naming it
+/// (`what` names the object: "dataset", "load").
+bool ReadDatasetKnobs(const JsonValue& object, const char* what,
+                      DatasetSpec* dataset, std::string* error);
+
+/// ReadDatasetKnobs for the base problem knobs (theta, k, levels) of `spec`.
+bool ReadProblemKnobs(const JsonValue& object, const char* what,
+                      ScenarioSpec* spec, std::string* error);
 
 /// Non-fatal authoring lints on an otherwise valid spec, one message per
 /// finding (empty = clean). Currently: a `composition` axis without a
@@ -166,11 +206,6 @@ bool ValidateScenarioSpec(const ScenarioSpec& spec, std::string* error = nullptr
 /// duplicates cells. Front ends print these to stderr; they never fail
 /// validation.
 std::vector<std::string> ScenarioSpecWarnings(const ScenarioSpec& spec);
-
-/// The dataset profile names ValidateDatasetSpec accepts, in a stable
-/// order ("tiny", "small", "medium", "paper") — the canonical list for
-/// error messages that enumerate the valid alternatives.
-const std::vector<std::string>& KnownDatasetProfiles();
 
 /// The built-in presets, in a stable order: the paper's sweeps
 /// (fig2-theta, fig3-gamma, fig4-alpha, fig5-k, table2-lambda) followed by

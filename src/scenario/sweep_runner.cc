@@ -50,15 +50,6 @@ struct SweepData {
   }
 };
 
-// The λ the cell prices against (base λ unless a lambda axis overrides).
-double CellLambda(const ScenarioSpec& spec, const SweepCell& cell) {
-  double lambda = spec.dataset.lambda;
-  for (std::size_t a = 0; a < spec.axes.size(); ++a) {
-    if (spec.axes[a].kind == AxisKind::kLambda) lambda = cell.axis_values[a];
-  }
-  return lambda;
-}
-
 // Materializes every distinct (dataset, λ) combination the cells need, in
 // stable cell order (deterministic regardless of later scheduling). The
 // base dataset is borrowed from the caller; dataset-axis entries come from
@@ -107,28 +98,21 @@ SweepData BuildSweepData(const ScenarioSpec& spec,
 
   for (const SweepCell& cell : cells) {
     const DatasetSpec cell_spec = CellDatasetSpec(spec, cell);
-    derive_wtp(entry_for(cell_spec), cell_spec, CellLambda(spec, cell));
+    derive_wtp(entry_for(cell_spec), cell_spec, cell_spec.lambda);
   }
   return data;
 }
 
-// Applies the cell's axis values on top of the spec's base knobs, returning
-// the λ the cell prices against. γ and α compose into one adoption model;
-// dataset axes are handled by CellDatasetSpec, not here.
-double ApplyAxes(const ScenarioSpec& spec, const SweepCell& cell,
-                 BundleConfigProblem* problem) {
-  double lambda = spec.dataset.lambda;
+// Applies the cell's values of the axis-only knobs, which no spec member
+// holds: γ and α compose into one adoption model, the rest select method
+// variants.
+void ApplyAxisOnlyKnobs(const ScenarioSpec& spec, const SweepCell& cell,
+                        BundleConfigProblem* problem) {
   bool have_gamma = false, have_alpha = false;
   double gamma = 0.0, alpha = 1.0;
   for (std::size_t a = 0; a < spec.axes.size(); ++a) {
     double value = cell.axis_values[a];
     switch (spec.axes[a].kind) {
-      case AxisKind::kTheta:
-        problem->theta = value;
-        break;
-      case AxisKind::kK:
-        problem->max_bundle_size = static_cast<int>(value);
-        break;
       case AxisKind::kGamma:
         have_gamma = true;
         gamma = value;
@@ -137,16 +121,6 @@ double ApplyAxes(const ScenarioSpec& spec, const SweepCell& cell,
         have_alpha = true;
         alpha = value;
         break;
-      case AxisKind::kLambda:
-        lambda = value;
-        break;
-      case AxisKind::kLevels:
-        problem->price_levels = static_cast<int>(value);
-        break;
-      case AxisKind::kNumUsers:
-      case AxisKind::kNumItems:
-      case AxisKind::kItemSample:
-        break;  // Dataset axes select the cell dataset, not problem knobs.
       case AxisKind::kPruneCoInterest:
         problem->prune_co_interest = value != 0.0;
         break;
@@ -163,6 +137,8 @@ double ApplyAxes(const ScenarioSpec& spec, const SweepCell& cell,
       case AxisKind::kFreqSupport:
         problem->freq_min_support = value;
         break;
+      default:
+        break;  // Set through WithAxisValues.
     }
   }
   if (have_gamma) {
@@ -170,21 +146,20 @@ double ApplyAxes(const ScenarioSpec& spec, const SweepCell& cell,
   } else if (have_alpha) {
     problem->adoption = AdoptionModel::StepWithBias(alpha);
   }
-  return lambda;
 }
 
 void RunCell(const ScenarioSpec& spec, const SweepData& data,
              const SweepRunnerOptions& options, const SweepCell& cell,
              SweepCellResult* result) {
+  const ScenarioSpec cell_spec = WithAxisValues(spec, cell.axis_values);
   BundleConfigProblem problem;
-  problem.theta = spec.theta;
-  problem.max_bundle_size = spec.max_bundle_size;
-  problem.price_levels = spec.price_levels;
+  problem.theta = cell_spec.theta;
+  problem.max_bundle_size = cell_spec.max_bundle_size;
+  problem.price_levels = cell_spec.price_levels;
   problem.adoption = AdoptionModel::Step();
-  double lambda = ApplyAxes(spec, cell, &problem);
-  const DatasetEntry& entry =
-      data.EntryFor(DatasetKey(CellDatasetSpec(spec, cell)));
-  const WtpMatrix& wtp = entry.WtpFor(lambda);
+  ApplyAxisOnlyKnobs(spec, cell, &problem);
+  const DatasetEntry& entry = data.EntryFor(DatasetKey(cell_spec.dataset));
+  const WtpMatrix& wtp = entry.WtpFor(cell_spec.dataset.lambda);
   problem.wtp = &wtp;
 
   // Fresh context per cell: the seed depends only on the cell index, so
@@ -297,24 +272,7 @@ RatingsDataset MaterializeDataset(const DatasetSpec& dataset) {
 }
 
 DatasetSpec CellDatasetSpec(const ScenarioSpec& spec, const SweepCell& cell) {
-  DatasetSpec dataset = spec.dataset;
-  for (std::size_t a = 0; a < spec.axes.size(); ++a) {
-    const double value = cell.axis_values[a];
-    switch (spec.axes[a].kind) {
-      case AxisKind::kNumUsers:
-        dataset.num_users = static_cast<int>(value);
-        break;
-      case AxisKind::kNumItems:
-        dataset.num_items = static_cast<int>(value);
-        break;
-      case AxisKind::kItemSample:
-        dataset.item_sample = static_cast<int>(value);
-        break;
-      default:
-        break;
-    }
-  }
-  return dataset;
+  return WithAxisValues(spec, cell.axis_values).dataset;
 }
 
 void RecomputeComponentGains(SweepResult* result) {
@@ -324,6 +282,8 @@ void RecomputeComponentGains(SweepResult* result) {
   // are a shard slice, where a point's cells are no longer contiguous (a
   // method whose components sibling landed in another shard simply reports
   // no gain; the artifact merger recomputes gains after joining shards).
+  // Where Components earns nothing (a degenerate dataset), the gain is
+  // undefined and reported as none.
   const int block = static_cast<int>(result->spec.methods.size());
   std::map<int, double> components_by_point;
   for (const SweepCellResult& cell : result->cells) {
@@ -333,7 +293,7 @@ void RecomputeComponentGains(SweepResult* result) {
   }
   for (SweepCellResult& cell : result->cells) {
     auto it = components_by_point.find(cell.cell.index / block);
-    if (it == components_by_point.end()) {
+    if (it == components_by_point.end() || it->second <= 0.0) {
       cell.has_gain = false;
       cell.gain_over_components = 0.0;
       continue;

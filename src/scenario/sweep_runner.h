@@ -132,8 +132,8 @@ GeneratorConfig DatasetGeneratorConfig(const DatasetSpec& dataset);
 RatingsDataset MaterializeDataset(const DatasetSpec& dataset);
 
 /// DatasetSpec the cell solves against: the scenario's dataset with the
-/// cell's dataset-axis values (num_users / num_items / item-sample)
-/// applied. Identity (not equality) of DatasetKey(CellDatasetSpec(...))
+/// cell's dataset-axis values (num_users / num_items / item-sample) and
+/// lambda applied. Identity (not equality) of DatasetKey(CellDatasetSpec(...))
 /// decides which cells share a materialized dataset.
 DatasetSpec CellDatasetSpec(const ScenarioSpec& spec, const SweepCell& cell);
 
@@ -155,7 +155,7 @@ using WtpProvider = std::function<std::shared_ptr<const WtpMatrix>(
 
 /// Recomputes gain_over_components for every cell of `result` from the
 /// "components" cell at the same axis point (clearing gains whose baseline
-/// cell is absent). The runner applies this after solving; the artifact
+/// cell is absent or earns nothing). The runner applies this after solving; the artifact
 /// merger re-applies it after joining shard slices, which is what makes a
 /// merged artifact byte-identical to the unsharded run.
 void RecomputeComponentGains(SweepResult* result);

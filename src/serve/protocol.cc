@@ -161,52 +161,16 @@ Status ParseOptions(const JsonValue& request, const char* what,
 }
 
 // Parses a dataset-reference object (the value of solve's "dataset" or
-// update's "load"). `what` names it in diagnostics.
+// update's "load"): the wire's field allowlist first, then the knob
+// table's reader. `what` names it in diagnostics.
 Status ParseDatasetObject(const JsonValue& object, const char* what,
                           DatasetSpec* dataset) {
   if (Status s = CheckFields(object, what, kDatasetFields, false); !s.ok()) {
     return s;
   }
-  if (Status s = ReadString(object, what, "profile", &dataset->profile);
-      !s.ok()) {
-    return s;
-  }
-  std::int64_t seed = static_cast<std::int64_t>(dataset->seed);
-  if (Status s = ReadInt(object, what, "seed", &seed); !s.ok()) return s;
-  dataset->seed = static_cast<std::uint64_t>(seed);
-  if (Status s = ReadDouble(object, what, "lambda", &dataset->lambda);
-      !s.ok()) {
-    return s;
-  }
-  // Generator overrides: the optional<> stays unset unless the field was
-  // sent, mirroring DatasetSpec semantics.
-  const auto read_override = [&](const char* key,
-                                 std::optional<double>* out) -> Status {
-    if (object.FindMember(key) == nullptr) return Status::Ok();
-    double value = 0.0;
-    if (Status s = ReadDouble(object, what, key, &value); !s.ok()) return s;
-    *out = value;
-    return Status::Ok();
-  };
-  if (Status s = read_override("activity_sigma", &dataset->activity_sigma);
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = read_override("background_mass", &dataset->background_mass);
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = read_override("popularity_exponent",
-                               &dataset->popularity_exponent);
-      !s.ok()) {
-    return s;
-  }
-  if (object.FindMember("genres_per_user") != nullptr) {
-    std::int64_t value = 0;
-    if (Status s = ReadInt(object, what, "genres_per_user", &value); !s.ok()) {
-      return s;
-    }
-    dataset->genres_per_user = static_cast<int>(value);
+  std::string error;
+  if (!ReadDatasetKnobs(object, what, dataset, &error)) {
+    return Status::InvalidArgument(error);
   }
   return Status::Ok();
 }
@@ -240,15 +204,14 @@ Status ParseSolveFields(const JsonValue& document, const char* what,
     return s;
   }
   solve->dataset = std::move(dataset);
-  if (Status s = ReadDouble(document, what, "theta", &solve->theta); !s.ok()) {
-    return s;
+  ScenarioSpec problem;  // Its base knobs default to SolveRequest's.
+  std::string error;
+  if (!ReadProblemKnobs(document, what, &problem, &error)) {
+    return Status::InvalidArgument(error);
   }
-  std::int64_t k = solve->max_bundle_size;
-  if (Status s = ReadInt(document, what, "k", &k); !s.ok()) return s;
-  solve->max_bundle_size = static_cast<int>(k);
-  std::int64_t levels = solve->price_levels;
-  if (Status s = ReadInt(document, what, "levels", &levels); !s.ok()) return s;
-  solve->price_levels = static_cast<int>(levels);
+  solve->theta = problem.theta;
+  solve->max_bundle_size = problem.max_bundle_size;
+  solve->price_levels = problem.price_levels;
   return ParseOptions(document, what, &solve->options);
 }
 

@@ -16,6 +16,7 @@
 
 #include "gtest/gtest.h"
 #include "matching/simple_matchers.h"
+#include "oracles/brute_force_matching.h"
 #include "oracles/dense_max_weight_matching.h"
 #include "util/rng.h"
 

@@ -18,7 +18,7 @@
 #include "data/wtp_matrix.h"
 #include "gtest/gtest.h"
 #include "matching/max_weight_matching.h"
-#include "matching/simple_matchers.h"
+#include "oracles/brute_force_matching.h"
 #include "pricing/mixed_pricer.h"
 #include "pricing/offer_pricer.h"
 #include "pricing/price_grid.h"

@@ -1,15 +1,18 @@
-// Scenario-engine unit tests: spec parsing/formatting round-trips, grid
-// expansion order, builtin-preset validity, the deterministic JSON writer,
-// and artifact structure.
+// Scenario-engine unit tests: spec parsing/formatting round-trips, knob
+// domains across every front end, grid expansion order, builtin-preset
+// validity, the deterministic JSON writer, and artifact structure.
 
 #include <cstdlib>
 #include <limits>
 #include <utility>
 
+#include "api/engine.h"
 #include "gtest/gtest.h"
+#include "scenario/artifact_reader.h"
 #include "scenario/artifact_writer.h"
 #include "scenario/scenario_spec.h"
 #include "scenario/sweep_runner.h"
+#include "serve/protocol.h"
 #include "sweep_test_util.h"
 #include "util/json.h"
 
@@ -266,6 +269,216 @@ TEST(ScenarioSpecTest, BuiltinsAreValidAndFindable) {
   const ScenarioSpec* grid = FindBuiltinScenario("sigmoid-theta-grid");
   ASSERT_NE(grid, nullptr);
   EXPECT_EQ(grid->axes.size(), 2u);
+}
+
+// The exact pricing path (levels 0) takes the step adoption model only; a
+// gamma axis over it used to abort the sweep in the pricer.
+TEST(ScenarioSpecTest, ValidateRejectsGammaAxisWithExactPricing) {
+  for (const char* text :
+       {"scale=tiny;seed=7;levels=0;methods=components;axis:gamma=1,10",
+        "scale=tiny;seed=7;methods=components;axis:gamma=1;axis:levels=50,0"}) {
+    std::string error;
+    std::optional<ScenarioSpec> spec = ParseScenarioSpec(text, &error);
+    ASSERT_TRUE(spec) << text << ": " << error;
+    EXPECT_FALSE(ValidateScenarioSpec(*spec, &error)) << text;
+    EXPECT_NE(error.find("gamma"), std::string::npos) << error;
+  }
+  std::string error;
+  std::optional<ScenarioSpec> grid = ParseScenarioSpec(
+      "scale=tiny;seed=7;levels=0;methods=components;axis:gamma=1;"
+      "axis:levels=50",
+      &error);
+  ASSERT_TRUE(grid) << error;
+  EXPECT_TRUE(ValidateScenarioSpec(*grid, &error)) << error;
+}
+
+// ---------------------------------------------------------------------------
+// Knob domains: every front end gives one value the same verdict.
+// ---------------------------------------------------------------------------
+
+// A knob value just inside or just outside the knob's domain. `key` is its
+// spec-text key, `json` its wire name and `axis` its axis name; each is
+// empty when the knob has no such form.
+struct KnobProbe {
+  const char* key;
+  const char* json;
+  const char* axis;
+  const char* value;
+  bool inside;
+};
+
+const KnobProbe kKnobProbes[] = {
+    {"scale", "profile", "", "tiny", true},
+    {"scale", "profile", "", "galactic", false},
+    {"seed", "seed", "", "0", true},
+    {"seed", "seed", "", "-1", false},
+    {"lambda", "lambda", "lambda", "100", true},
+    {"lambda", "lambda", "lambda", "100.5", false},
+    {"lambda", "lambda", "lambda", "1e-9", true},
+    {"lambda", "lambda", "lambda", "0", false},
+    {"activity-sigma", "activity_sigma", "", "0", true},
+    {"activity-sigma", "activity_sigma", "", "-0.001", false},
+    {"background-mass", "background_mass", "", "0", true},
+    {"background-mass", "background_mass", "", "-0.001", false},
+    {"popularity-exponent", "popularity_exponent", "", "0", true},
+    {"popularity-exponent", "popularity_exponent", "", "-0.001", false},
+    {"genres-per-user", "genres_per_user", "", "1", true},
+    {"genres-per-user", "genres_per_user", "", "0", false},
+    {"num-users", "", "num_users", "1", true},
+    {"num-users", "", "num_users", "0", false},
+    {"num-items", "", "num_items", "1", true},
+    {"num-items", "", "num_items", "0", false},
+    {"item-sample", "", "item-sample", "1", true},
+    {"item-sample", "", "item-sample", "0", false},
+    {"theta", "theta", "theta", "1", true},
+    {"theta", "theta", "theta", "1.001", false},
+    {"theta", "theta", "theta", "-1", true},
+    {"theta", "theta", "theta", "-1.001", false},
+    {"k", "k", "k", "0", true},
+    {"k", "k", "k", "-1", false},
+    {"levels", "levels", "levels", "0", true},
+    {"levels", "levels", "levels", "-1", false},
+    {"", "", "gamma", "1e-9", true},
+    {"", "", "gamma", "0", false},
+    {"", "", "alpha", "1e-9", true},
+    {"", "", "alpha", "0", false},
+    {"", "", "prune-co-interest", "1", true},
+    {"", "", "prune-co-interest", "2", false},
+    {"", "", "prune-stale-edges", "0", true},
+    {"", "", "prune-stale-edges", "-1", false},
+    {"", "", "matching-limit", "0", true},
+    {"", "", "matching-limit", "-1", false},
+    {"", "", "composition", "1", true},
+    {"", "", "composition", "0.5", false},
+    {"", "", "freq-support", "1", true},
+    {"", "", "freq-support", "1.001", false},
+};
+
+bool IsProblemKnob(const std::string& key) {
+  return key == "theta" || key == "k" || key == "levels";
+}
+
+// Writes a probe's value into the knob it names on a dataset-reference
+// solve.
+void SetSolveKnob(const std::string& key, const std::string& value,
+                  SolveRequest* request) {
+  DatasetSpec& d = *request->dataset;
+  const double v = std::strtod(value.c_str(), nullptr);
+  const int n = static_cast<int>(v);
+  if (key == "scale") d.profile = value;
+  if (key == "seed") {
+    d.seed = static_cast<std::uint64_t>(std::strtoll(value.c_str(), nullptr, 10));
+  }
+  if (key == "lambda") d.lambda = v;
+  if (key == "activity-sigma") d.activity_sigma = v;
+  if (key == "background-mass") d.background_mass = v;
+  if (key == "popularity-exponent") d.popularity_exponent = v;
+  if (key == "genres-per-user") d.genres_per_user = n;
+  if (key == "num-users") d.num_users = n;
+  if (key == "num-items") d.num_items = n;
+  if (key == "item-sample") d.item_sample = n;
+  if (key == "theta") request->theta = v;
+  if (key == "k") request->max_bundle_size = n;
+  if (key == "levels") request->price_levels = n;
+}
+
+bool SpecVerdict(const std::string& text) {
+  std::string error;
+  std::optional<ScenarioSpec> spec = ParseScenarioSpec(text, &error);
+  return spec && ValidateScenarioSpec(*spec, &error);
+}
+
+TEST(KnobDomainTest, EveryFrontEndAgrees) {
+  Engine engine;
+  for (const KnobProbe& probe : kKnobProbes) {
+    const std::string key = probe.key, json = probe.json, axis = probe.axis;
+    const std::string value = probe.value;
+    SCOPED_TRACE((key.empty() ? axis : key) + "=" + value);
+    if (!key.empty()) {
+      EXPECT_EQ(SpecVerdict("scale=tiny;seed=7;methods=components;"
+                            "axis:matching-limit=4000;" +
+                            key + "=" + value),
+                probe.inside)
+          << "spec text";
+
+      SolveRequest request;
+      request.method = "components";
+      request.dataset = DatasetSpec{};
+      request.dataset->profile = "tiny";
+      request.dataset->seed = 7;
+      SetSolveKnob(key, value, &request);
+      EXPECT_EQ(engine.Solve(request).ok(), probe.inside) << "Engine::Solve";
+    }
+    if (!axis.empty()) {
+      EXPECT_EQ(SpecVerdict("scale=tiny;seed=7;methods=components;axis:" +
+                            axis + "=" + value),
+                probe.inside)
+          << "axis";
+    }
+    if (json.empty()) continue;
+    const std::string member =
+        "\"" + json + "\":" + (key == "scale" ? "\"" + value + "\"" : value);
+    if (IsProblemKnob(key)) {
+      StatusOr<WireRequest> solve = ParseWireRequest(
+          R"({"kind":"solve","method":"components",)"
+          R"("dataset":{"profile":"tiny"},)" + member + "}");
+      EXPECT_EQ(solve.ok(), probe.inside) << "wire solve";
+      continue;
+    }
+    const std::string dataset =
+        "{" + member + (key == "seed" ? "" : ",\"seed\":7") + "}";
+    for (const std::string& line :
+         {R"({"kind":"solve","method":"components","dataset":)" + dataset + "}",
+          R"({"kind":"update","load":)" + dataset + "}"}) {
+      StatusOr<WireRequest> request = ParseWireRequest(line);
+      EXPECT_EQ(request.ok(), probe.inside) << line;
+      if (!request.ok()) {
+        EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument);
+      }
+    }
+  }
+}
+
+// Every axis kind has a probe, so the table above covers every sweepable
+// knob.
+TEST(KnobDomainTest, ProbesCoverEveryAxis) {
+  for (AxisKind kind : AllAxisKinds()) {
+    bool probed = false;
+    for (const KnobProbe& probe : kKnobProbes) {
+      probed = probed || AxisKindName(kind) == probe.axis;
+    }
+    EXPECT_TRUE(probed) << AxisKindName(kind);
+  }
+}
+
+// A spec setting every knob survives both text and artifact round trips.
+TEST(KnobDomainTest, EveryKnobRoundTrips) {
+  const std::string text =
+      "name=all;description=every knob;scale=tiny;seed=7;lambda=1.5;"
+      "activity-sigma=0.5;background-mass=0.1;popularity-exponent=1.2;"
+      "genres-per-user=2;num-users=150;num-items=60;item-sample=40;"
+      "theta=0.05;k=3;levels=50;methods=components;axis:theta=0;axis:k=2;"
+      "axis:gamma=10;axis:alpha=1.1;axis:lambda=1.25;axis:levels=20;"
+      "axis:num_users=150;axis:num_items=60;axis:item-sample=30;"
+      "axis:prune-co-interest=1;axis:prune-stale-edges=0;"
+      "axis:matching-limit=100;axis:composition=1;axis:freq-support=0.05";
+  std::string error;
+  std::optional<ScenarioSpec> spec = ParseScenarioSpec(text, &error);
+  ASSERT_TRUE(spec) << error;
+  ASSERT_TRUE(ValidateScenarioSpec(*spec, &error)) << error;
+  EXPECT_EQ(static_cast<int>(spec->axes.size()), kNumAxisKinds);
+  const std::string canonical = FormatScenarioSpec(*spec);
+
+  std::optional<ScenarioSpec> reparsed = ParseScenarioSpec(canonical, &error);
+  ASSERT_TRUE(reparsed) << error;
+  EXPECT_EQ(FormatScenarioSpec(*reparsed), canonical);
+
+  SweepResult result;
+  result.spec = *spec;
+  StatusOr<SweepResult> read = ParseSweepArtifact(SweepArtifactJson(result));
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(FormatScenarioSpec(read->spec), canonical);
+  EXPECT_EQ(DatasetKey(read->spec.dataset), DatasetKey(spec->dataset));
 }
 
 // ---------------------------------------------------------------------------

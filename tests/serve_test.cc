@@ -536,6 +536,28 @@ TEST(ServeTest, MalformedInputLeavesConnectionServing) {
       {R"({"kind":"solve","id":7,"method":"components","dataset":)"
        R"({"profile":"tiny","seed":7,"popularity_exponent":-1e308}})",
        "INVALID_ARGUMENT", "popularity-exponent"},
+      // Problem and dataset knobs outside their domains: negative levels
+      // and a huge theta aborted in the pricer and the matcher, a huge
+      // lambda at serialization; a negative k, genre count or seed was
+      // answered although spec text refuses them.
+      {R"({"kind":"solve","id":8,"method":"components","dataset":)"
+       R"({"profile":"tiny","seed":7},"levels":-5})",
+       "INVALID_ARGUMENT", "levels"},
+      {R"({"kind":"solve","id":9,"method":"pure-matching","dataset":)"
+       R"({"profile":"tiny","seed":7},"theta":1e308})",
+       "INVALID_ARGUMENT", "theta"},
+      {R"({"kind":"solve","id":10,"method":"components","dataset":)"
+       R"({"profile":"tiny","seed":7,"lambda":1e308}})",
+       "INVALID_ARGUMENT", "lambda"},
+      {R"({"kind":"solve","id":11,"method":"components","dataset":)"
+       R"({"profile":"tiny","seed":7},"k":-3})",
+       "INVALID_ARGUMENT", "k needs"},
+      {R"({"kind":"solve","id":12,"method":"components","dataset":)"
+       R"({"profile":"tiny","seed":7,"genres_per_user":-4}})",
+       "INVALID_ARGUMENT", "genres-per-user"},
+      {R"({"kind":"solve","id":13,"method":"components","dataset":)"
+       R"({"profile":"tiny","seed":-7}})",
+       "INVALID_ARGUMENT", "seed"},
   };
   for (const Case& c : cases) {
     StatusOr<std::string> response = client.Call(c.line);

@@ -1,16 +1,20 @@
 // Parameterized end-to-end sweeps: every algorithm must uphold its feasibility
 // and dominance invariants across the full (seed × θ × k × adoption) grid,
 // not just at the defaults. Also pins the paper-scale generator profile to
-// its calibration window.
+// its calibration window, and sweeps a dataset on which Components earns
+// nothing.
 
 #include <map>
 
+#include "api/engine.h"
 #include "core/metrics.h"
 #include "core/bundler_registry.h"
 #include "core/solution.h"
 #include "data/generator.h"
 #include "data/wtp_matrix.h"
 #include "gtest/gtest.h"
+#include "scenario/artifact_merge.h"
+#include "scenario/artifact_writer.h"
 
 namespace bundlemine {
 namespace {
@@ -97,6 +101,40 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{202, 0.0, 0, false}, SweepCase{202, -0.1, 3, false},
         SweepCase{202, 0.1, 0, false}, SweepCase{101, 0.0, 0, true},
         SweepCase{101, 0.05, 3, true}, SweepCase{202, -0.05, 0, true}));
+
+// A steep popularity exponent leaves the tiny dataset empty, so Components
+// earns nothing and a gain over it is undefined. The sweep must answer with
+// no gain on any cell — unsharded, and merged from shards — instead of
+// aborting on the gain's positive-baseline check.
+TEST(DegenerateDatasetSweep, ReportsNoGainOverComponents) {
+  StatusOr<ScenarioSpec> spec = ResolveScenarioSpec(
+      "scale=tiny;seed=7;popularity-exponent=10;"
+      "methods=components,pure-matching;axis:theta=0.05");
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  Engine engine;
+  SweepRequest request;
+  request.spec = *spec;
+  StatusOr<SweepResponse> full = engine.Sweep(request);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_EQ(full->result.cells.size(), 2u);
+  for (const SweepCellResult& cell : full->result.cells) {
+    EXPECT_FALSE(cell.has_gain) << cell.cell.method;
+  }
+  const std::string artifact = SweepArtifactJson(full->result);
+  EXPECT_EQ(artifact.find("gain_over_components"), std::string::npos);
+
+  std::vector<SweepResult> shards;
+  request.shard_count = 2;
+  for (request.shard_index = 0; request.shard_index < 2;
+       ++request.shard_index) {
+    StatusOr<SweepResponse> shard = engine.Sweep(request);
+    ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+    shards.push_back(shard->result);
+  }
+  StatusOr<SweepResult> merged = MergeSweepResults(shards);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(SweepArtifactJson(*merged), artifact);
+}
 
 TEST(PaperScaleProfile, GeneratorHitsCalibrationWindow) {
   RatingsDataset d = GenerateAmazonLike(PaperProfile(42));
