@@ -2,12 +2,12 @@
 // built entirely on the bundlemine::Engine request/response API.
 //
 // Loads a ratings dataset from CSV (or generates a synthetic one), runs any
-// bundling method registered in the BundlerRegistry, prints the market
-// summary with the welfare decomposition from the rational-choice simulator,
-// and optionally exports the priced configuration to CSV for downstream
-// systems. User errors (unknown method keys, bad specs, unreadable files)
-// come back from the Engine as typed Status values and exit 1 with a message
-// listing the valid alternatives — never a stack-trace abort.
+// bundling method in the method table, prints the market summary with the
+// welfare decomposition from the rational-choice simulator, and optionally
+// exports the priced configuration to CSV for downstream systems. User errors
+// (unknown method keys, bad specs, unreadable files) come back from the
+// Engine as typed Status values and exit 1 with a message listing the valid
+// alternatives — never a stack-trace abort.
 //
 //   ./configurator_cli --scale=small --method=mixed-matching --theta=0
 //       --out=config.csv
@@ -225,10 +225,9 @@ int main(int argc, char** argv) {
     return RunSweepMode(engine, flags);
   }
 
-  const BundlerRegistry& registry = BundlerRegistry::Global();
   if (flags.GetBool("list-methods")) {
-    for (const std::string& key : registry.Keys()) {
-      std::printf("%-18s %s\n", key.c_str(), registry.DisplayName(key).c_str());
+    for (const std::string& key : MethodKeys()) {
+      std::printf("%-18s %s\n", key.c_str(), MethodDisplayName(key).c_str());
     }
     return 0;
   }

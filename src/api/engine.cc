@@ -26,8 +26,24 @@ std::string JoinStrings(const std::vector<std::string>& parts,
   return out;
 }
 
-std::string RegisteredKeyList() {
-  return JoinStrings(BundlerRegistry::Global().Keys(), ", ");
+std::string MethodKeyList() { return JoinStrings(MethodKeys(), ", "); }
+
+// The most items `method`'s solver takes, or 0 for no limit.
+int ItemLimit(const std::string& method) {
+  const Method* row = FindMethod(method);
+  return row == nullptr ? 0 : row->item_limit;
+}
+
+// INVALID_ARGUMENT when `num_items` exceeds `method`'s item limit (the
+// set-packing methods enumerate all 2^N bundles).
+Status CheckItemLimit(const std::string& method, int num_items) {
+  const int limit = ItemLimit(method);
+  if (limit > 0 && num_items > limit) {
+    return Status::InvalidArgument(
+        StrFormat("method '%s' takes at most %d items; the dataset has %d",
+                  method.c_str(), limit, num_items));
+  }
+  return Status::Ok();
 }
 
 Status ValidateDataset(const DatasetSpec& spec) {
@@ -100,10 +116,10 @@ void Engine::EvictMarketCaches(const std::string& market_id) {
 }
 
 Status ValidateMethodKey(const std::string& method) {
-  if (!BundlerRegistry::Global().Has(method)) {
+  if (FindMethod(method) == nullptr) {
     return Status::NotFound(StrFormat("unknown method key '%s' (valid: %s)",
                                       method.c_str(),
-                                      RegisteredKeyList().c_str()));
+                                      MethodKeyList().c_str()));
   }
   return Status::Ok();
 }
@@ -145,6 +161,10 @@ StatusOr<SolveResponse> Engine::Solve(const SolveRequest& request) {
     return Status::InvalidArgument(
         "SolveRequest needs a problem or a dataset reference");
   }
+  if (Status limit = CheckItemLimit(request.method, problem.wtp->num_items());
+      !limit.ok()) {
+    return limit;
+  }
 
   SolveContext::Options context_options;
   context_options.num_threads = EffectiveThreads(request.options);
@@ -185,9 +205,9 @@ StatusOr<SweepResponse> Engine::Sweep(const SweepRequest& request) {
   std::string diagnostic;
   if (!ValidateScenarioSpec(request.spec, &diagnostic)) {
     // Unknown methods are the most common authoring mistake; append the
-    // registry's key list so the error is self-serve.
+    // method table's key list so the error is self-serve.
     if (diagnostic.find("unknown method") != std::string::npos) {
-      diagnostic += " (valid: " + RegisteredKeyList() + ")";
+      diagnostic += " (valid: " + MethodKeyList() + ")";
     }
     return Status::InvalidArgument("invalid scenario: " + diagnostic);
   }
@@ -199,6 +219,16 @@ StatusOr<SweepResponse> Engine::Sweep(const SweepRequest& request) {
   WallTimer timer;
   std::vector<SweepCell> cells = ExpandGrid(request.spec);
   const int grid_cells = static_cast<int>(cells.size());
+  // Every shard of a grid refuses alike, before any cell runs; the runner
+  // finds the datasets checked here in the cache.
+  for (const SweepCell& cell : cells) {
+    if (ItemLimit(cell.method) == 0) continue;
+    const int num_items =
+        DatasetFor(CellDatasetSpec(request.spec, cell))->num_items();
+    if (Status limit = CheckItemLimit(cell.method, num_items); !limit.ok()) {
+      return limit;
+    }
+  }
   cells = FilterShard(std::move(cells), request.shard_index, request.shard_count);
 
   SweepResponse response;
@@ -253,7 +283,7 @@ StatusOr<ResolveResponse> Engine::Resolve(const ResolveRequest& request) {
   std::string diagnostic;
   if (!ValidateScenarioSpec(request.spec, &diagnostic)) {
     if (diagnostic.find("unknown method") != std::string::npos) {
-      diagnostic += " (valid: " + RegisteredKeyList() + ")";
+      diagnostic += " (valid: " + MethodKeyList() + ")";
     }
     return Status::InvalidArgument("invalid scenario: " + diagnostic);
   }
@@ -270,6 +300,12 @@ StatusOr<ResolveResponse> Engine::Resolve(const ResolveRequest& request) {
 
   WallTimer timer;
   MarketStream::Snapshot snap = request.market->TakeSnapshot();
+  for (const std::string& method : request.spec.methods) {
+    if (Status limit = CheckItemLimit(method, snap.dataset->num_items());
+        !limit.ok()) {
+      return limit;
+    }
+  }
   // Deadline-limited solves are wall-clock-dependent; never cache them.
   const bool cacheable = request.options.deadline_seconds == 0.0 &&
                          options_.resolve_cache_capacity > 0;

@@ -27,7 +27,7 @@
 //     grid, so artifacts can be merged back together.
 //
 // The Engine is the whole public surface: the legacy RunMethod/RunSweep
-// wrappers are gone, and the registry-level SolveMethod dispatch
+// wrappers are gone, and the method table's SolveMethod dispatch
 // (core/bundler_registry.h) is an internal cell-solve primitive. The
 // bundlemined serving loop (serve/server.h) sits directly on top of this
 // facade — one Engine per server process, so its caches are shared by
@@ -43,9 +43,9 @@
 #include <utility>
 #include <vector>
 
-#include "core/bundler.h"
 #include "core/problem.h"
 #include "core/resolve_hints.h"
+#include "core/solution.h"
 #include "core/solve_context.h"
 #include "data/ratings.h"
 #include "data/wtp_matrix.h"
@@ -76,7 +76,7 @@ struct RequestOptions {
 /// One solve: a method key plus either a caller-owned problem or a dataset
 /// reference the Engine materializes (and caches) itself.
 struct SolveRequest {
-  /// BundlerRegistry method key ("mixed-matching", ...). Required.
+  /// Method-table key ("mixed-matching", ...). Required.
   std::string method;
 
   /// Caller-owned problem; must outlive the call. When set, the dataset
@@ -192,9 +192,9 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Solves one request. Errors: NOT_FOUND for an unknown method key
-  /// (message lists the registered keys), INVALID_ARGUMENT for a request
-  /// with neither problem nor dataset or with a dataset that fails
-  /// ValidateDatasetSpec.
+  /// (message lists the keys), INVALID_ARGUMENT for a request with neither
+  /// problem nor dataset, with a dataset that fails ValidateDatasetSpec, or
+  /// with more items than the method's item limit.
   StatusOr<SolveResponse> Solve(const SolveRequest& request);
 
   /// Evaluates many requests across the shared pool at the Engine's width.
@@ -207,8 +207,9 @@ class Engine {
 
   /// Runs a (possibly sharded) scenario sweep. Errors: INVALID_ARGUMENT for
   /// a spec that fails ValidateScenarioSpec (the message carries the
-  /// diagnostic; unknown methods additionally list the registered keys) or
-  /// a bad shard range.
+  /// diagnostic; unknown methods additionally list the keys), a bad shard
+  /// range, or a grid cell whose dataset has more items than its method's
+  /// item limit (checked over the whole grid before any cell runs).
   StatusOr<SweepResponse> Sweep(const SweepRequest& request);
 
   /// Materializes (through the dataset cache) the dataset a DatasetSpec
@@ -226,7 +227,8 @@ class Engine {
   /// market version is unchanged, the previous response is returned outright
   /// (response_cache_hit). Results are byte-identical to a batch Sweep over
   /// an equal dataset at any thread count. Deadline-limited resolves are
-  /// never cached (their results are wall-clock-dependent).
+  /// never cached (their results are wall-clock-dependent). A market with
+  /// more items than a listed method's item limit is INVALID_ARGUMENT.
   StatusOr<ResolveResponse> Resolve(const ResolveRequest& request);
 
   /// Cache observability (tests, ops endpoints). A request that waited for
@@ -293,8 +295,8 @@ class Engine {
 /// dataset-axis sweeps and repeated solves share materialized datasets.
 std::string DatasetCacheKey(const DatasetSpec& spec);
 
-/// OK iff `method` is a registered bundler key; otherwise the NOT_FOUND
-/// error Solve would return, listing the registered keys. Lets front ends
+/// OK iff `method` is a method-table key; otherwise the NOT_FOUND error
+/// Solve would return, listing the keys. Lets front ends
 /// reject a typo before doing expensive dataset work.
 Status ValidateMethodKey(const std::string& method);
 

@@ -2,116 +2,66 @@
 
 #include <utility>
 
-#include "core/components_baseline.h"
-#include "core/freq_itemset_bundler.h"
-#include "core/greedy_bundler.h"
-#include "core/matching_bundler.h"
-#include "core/wsp_bundler.h"
+#include "core/solvers.h"
 #include "util/check.h"
+#include "util/timer.h"
 
 namespace bundlemine {
 namespace {
 
-BundlerRegistry::ProblemAdjuster ForceStrategy(BundlingStrategy strategy) {
-  return [strategy](BundleConfigProblem* p) { p->strategy = strategy; };
-}
+constexpr BundlingStrategy kPure = BundlingStrategy::kPure;
+constexpr BundlingStrategy kMixed = BundlingStrategy::kMixed;
 
-void RegisterBuiltins(BundlerRegistry* registry) {
-  auto add = [registry](const std::string& key, BundlerRegistry::Entry entry) {
-    registry->Register(key, std::move(entry));
-  };
-
-  add("components",
-      {"Components", [] { return std::make_unique<ComponentsBaseline>(); },
-       nullptr, ""});
-  add("components-list",
-      {"Components (list price)",
-       [] {
-         return std::make_unique<ComponentsBaseline>(ComponentPricing::kListPrice);
-       },
-       nullptr, ""});
-  add("pure-matching",
-      {"Pure Matching", [] { return std::make_unique<MatchingBundler>(); },
-       ForceStrategy(BundlingStrategy::kPure), ""});
-  add("mixed-matching",
-      {"Mixed Matching", [] { return std::make_unique<MatchingBundler>(); },
-       ForceStrategy(BundlingStrategy::kMixed), ""});
-  add("pure-greedy",
-      {"Pure Greedy", [] { return std::make_unique<GreedyBundler>(); },
-       ForceStrategy(BundlingStrategy::kPure), ""});
-  add("mixed-greedy",
-      {"Mixed Greedy", [] { return std::make_unique<GreedyBundler>(); },
-       ForceStrategy(BundlingStrategy::kMixed), ""});
-  add("pure-freq",
-      {"Pure FreqItemset", [] { return std::make_unique<FreqItemsetBundler>(); },
-       ForceStrategy(BundlingStrategy::kPure), ""});
-  add("mixed-freq",
-      {"Mixed FreqItemset", [] { return std::make_unique<FreqItemsetBundler>(); },
-       ForceStrategy(BundlingStrategy::kMixed), ""});
-  add("two-sized",
-      {"2-sized Optimal", [] { return std::make_unique<MatchingBundler>(); },
-       [](BundleConfigProblem* p) {
-         p->strategy = BundlingStrategy::kPure;
-         p->max_bundle_size = 2;
-       },
-       "2-sized Optimal"});
-  add("optimal-wsp",
-      {"Optimal", [] { return std::make_unique<OptimalWspBundler>(); },
-       ForceStrategy(BundlingStrategy::kPure), ""});
-  add("greedy-wsp",
-      {"Greedy WSP", [] { return std::make_unique<GreedyWspBundler>(); },
-       ForceStrategy(BundlingStrategy::kPure), ""});
-  add("greedy-wsp-avg",
-      {"Greedy WSP (avg ratio)",
-       [] { return std::make_unique<GreedyWspBundler>(/*average_per_item=*/true); },
-       ForceStrategy(BundlingStrategy::kPure), ""});
-}
+// Sorted by key: MethodKeys() lists the rows in table order.
+constexpr Method kMethods[] = {
+    {"components", "Components",
+     [](const BundleConfigProblem& p, SolveContext& c) {
+       return SolveComponents(p, c, ComponentPricing::kOptimal);
+     },
+     std::nullopt, 0, 0},
+    {"components-list", "Components (list price)",
+     [](const BundleConfigProblem& p, SolveContext& c) {
+       return SolveComponents(p, c, ComponentPricing::kListPrice);
+     },
+     std::nullopt, 0, 0},
+    {"greedy-wsp", "Greedy WSP",
+     [](const BundleConfigProblem& p, SolveContext& c) {
+       return SolveGreedyWsp(p, c, /*average_per_item=*/false);
+     },
+     kPure, 0, 25},
+    {"greedy-wsp-avg", "Greedy WSP (avg ratio)",
+     [](const BundleConfigProblem& p, SolveContext& c) {
+       return SolveGreedyWsp(p, c, /*average_per_item=*/true);
+     },
+     kPure, 0, 25},
+    {"mixed-freq", "Mixed FreqItemset", SolveFreqItemset, kMixed, 0, 0},
+    {"mixed-greedy", "Mixed Greedy", SolveGreedy, kMixed, 0, 0},
+    {"mixed-matching", "Mixed Matching", SolveMatching, kMixed, 0, 0},
+    {"optimal-wsp", "Optimal", SolveOptimalWsp, kPure, 0, 20},
+    {"pure-freq", "Pure FreqItemset", SolveFreqItemset, kPure, 0, 0},
+    {"pure-greedy", "Pure Greedy", SolveGreedy, kPure, 0, 0},
+    {"pure-matching", "Pure Matching", SolveMatching, kPure, 0, 0},
+    {"two-sized", "2-sized Optimal", SolveMatching, kPure, 2, 0},
+};
 
 }  // namespace
 
-BundlerRegistry& BundlerRegistry::Global() {
-  static BundlerRegistry* registry = [] {
-    // Leaked on purpose: the registry must outlive every static-destruction
-    //-order user. lint-allow(naked-new)
-    auto* r = new BundlerRegistry();
-    RegisterBuiltins(r);
-    return r;
-  }();
-  return *registry;
+BundleConfigProblem Method::Adjust(BundleConfigProblem problem) const {
+  if (strategy) problem.strategy = *strategy;
+  if (max_bundle_size > 0) problem.max_bundle_size = max_bundle_size;
+  return problem;
 }
 
-void BundlerRegistry::Register(const std::string& key, Entry entry) {
-  BM_CHECK_MSG(entry.factory != nullptr, "registry entry needs a factory");
-  auto [it, inserted] = entries_.emplace(key, std::move(entry));
-  (void)it;  // Only the insertion verdict matters here.
-  BM_CHECK_MSG(inserted, "duplicate method key registration");
+const Method* FindMethod(const std::string& key) {
+  for (const Method& method : kMethods) {
+    if (key == method.key) return &method;
+  }
+  return nullptr;
 }
 
-bool BundlerRegistry::Has(const std::string& key) const {
-  return entries_.count(key) != 0;
-}
-
-const BundlerRegistry::Entry* BundlerRegistry::Find(const std::string& key) const {
-  auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : &it->second;
-}
-
-std::unique_ptr<Bundler> BundlerRegistry::Create(const std::string& key) const {
-  const Entry* entry = Find(key);
-  BM_CHECK_MSG(entry != nullptr, "unknown method key");
-  return entry->factory();
-}
-
-std::string BundlerRegistry::DisplayName(const std::string& key) const {
-  const Entry* entry = Find(key);
-  BM_CHECK_MSG(entry != nullptr, "unknown method key");
-  return entry->display_name;
-}
-
-std::vector<std::string> BundlerRegistry::Keys() const {
+std::vector<std::string> MethodKeys() {
   std::vector<std::string> keys;
-  keys.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) keys.push_back(key);
+  for (const Method& method : kMethods) keys.emplace_back(method.key);
   return keys;
 }
 
@@ -122,16 +72,20 @@ BundleSolution SolveMethod(const std::string& key, BundleConfigProblem problem) 
 
 BundleSolution SolveMethod(const std::string& key, BundleConfigProblem problem,
                            SolveContext& context) {
-  const BundlerRegistry::Entry* entry = BundlerRegistry::Global().Find(key);
-  BM_CHECK_MSG(entry != nullptr, "unknown method key");
-  if (entry->adjust) entry->adjust(&problem);
-  BundleSolution solution = entry->factory()->Solve(problem, context);
-  if (!entry->method_override.empty()) solution.method = entry->method_override;
+  const Method* method = FindMethod(key);
+  BM_CHECK_MSG(method != nullptr, "unknown method key");
+  WallTimer timer;
+  BundleSolution solution =
+      method->solve(method->Adjust(std::move(problem)), context);
+  solution.method = method->display_name;
+  solution.solve_seconds = timer.Seconds();
   return solution;
 }
 
 std::string MethodDisplayName(const std::string& key) {
-  return BundlerRegistry::Global().DisplayName(key);
+  const Method* method = FindMethod(key);
+  BM_CHECK_MSG(method != nullptr, "unknown method key");
+  return method->display_name;
 }
 
 std::vector<std::string> StandardMethodKeys() {

@@ -1,79 +1,54 @@
-// Name → bundling-algorithm registry: the construction API behind every
-// front end (runner, CLI, bench harnesses, tests).
+// The method table: one constant row per method key, the construction API
+// behind every front end (Engine, sweep runner, CLI, bench harnesses, tests).
 //
-// Each entry couples a factory with the problem adjustments its method key
-// implies ("pure-matching" forces the pure strategy, "two-sized" additionally
-// caps the bundle size at 2), so a method key means exactly the same thing
-// everywhere — and scenario sweeps can be driven entirely by strings from a
-// config file or the command line.
+// A row states everything a key implies: its display name, the solver, the
+// strategy it forces ("pure-matching" → pure), its size cap ("two-sized" →
+// 2) and the largest item count its solver takes. So a method key means
+// exactly the same thing everywhere, and scenario sweeps can be driven
+// entirely by strings from a config file or the command line.
 
 #ifndef BUNDLEMINE_CORE_BUNDLER_REGISTRY_H_
 #define BUNDLEMINE_CORE_BUNDLER_REGISTRY_H_
 
-#include <functional>
-#include <map>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/bundler.h"
+#include "core/problem.h"
+#include "core/solution.h"
+#include "core/solve_context.h"
 
 namespace bundlemine {
 
-/// Registry of bundling algorithms constructible by method key. Thread-safe
-/// for lookups after the built-ins are registered (first Global() call);
-/// Register() is not synchronized and belongs in startup code.
-class BundlerRegistry {
- public:
-  using Factory = std::function<std::unique_ptr<Bundler>()>;
-  using ProblemAdjuster = std::function<void(BundleConfigProblem*)>;
+/// One row of the method table.
+struct Method {
+  const char* key;           ///< "mixed-matching".
+  const char* display_name;  ///< "Mixed Matching"; also BundleSolution::method.
+  BundleSolution (*solve)(const BundleConfigProblem&, SolveContext&);
+  std::optional<BundlingStrategy> strategy;  ///< Forced strategy, if any.
+  int max_bundle_size;  ///< Forced size cap; 0 keeps the problem's.
+  int item_limit;       ///< Most items the solver takes; 0 for no limit.
 
-  struct Entry {
-    /// Display name ("mixed-matching" → "Mixed Matching").
-    std::string display_name;
-    /// Constructs a fresh bundler instance.
-    Factory factory;
-    /// Adjusts a problem copy to what the key implies (strategy, size cap);
-    /// may be null when the key imposes nothing.
-    ProblemAdjuster adjust;
-    /// When non-empty, overrides BundleSolution::method after the solve
-    /// ("two-sized" reuses MatchingBundler but reports "2-sized Optimal").
-    std::string method_override;
-  };
-
-  /// The process-wide registry, with all built-in methods registered.
-  static BundlerRegistry& Global();
-
-  /// Registers a method key. Aborts on duplicates — a silently shadowed
-  /// method would make sweep results lie.
-  void Register(const std::string& key, Entry entry);
-
-  bool Has(const std::string& key) const;
-
-  /// Entry for `key`, or nullptr when unknown.
-  const Entry* Find(const std::string& key) const;
-
-  /// Constructs the bundler for `key`. Aborts on unknown keys.
-  std::unique_ptr<Bundler> Create(const std::string& key) const;
-
-  /// Display name for a key. Aborts on unknown keys.
-  std::string DisplayName(const std::string& key) const;
-
-  /// All registered keys, sorted.
-  std::vector<std::string> Keys() const;
-
- private:
-  std::map<std::string, Entry> entries_;
+  /// `problem` as the solver sees it: the row's strategy and size cap
+  /// applied.
+  BundleConfigProblem Adjust(BundleConfigProblem problem) const;
 };
 
-/// Registry dispatch: runs the method on a copy of `problem` with the
-/// entry's adjustments (strategy, size caps) applied. This is the cell-level
-/// solve primitive used by Engine::Solve and the sweep runner's cell loop —
-/// front ends go through the Engine (api/engine.h), whose typed Status
-/// errors replace the BM_CHECK abort this raises on an unknown key.
+/// The row for `key`, or nullptr when unknown.
+const Method* FindMethod(const std::string& key);
+
+/// Every method key, sorted.
+std::vector<std::string> MethodKeys();
+
+/// Table dispatch: runs the method on a copy of `problem` with the row's
+/// strategy and size cap applied, and stamps the solution's method (the
+/// display name) and solve_seconds. This is the cell-level solve primitive
+/// used by Engine::Solve and the sweep runner's cell loop. Front ends go
+/// through the Engine (api/engine.h), whose typed Status errors replace the
+/// BM_CHECK aborts of an unknown key here and of an item count above the
+/// row's limit in the WSP solvers.
 ///
-/// Canonical method keys (see bundler_registry.cc for the authoritative
-/// list):
+/// Method keys (see bundler_registry.cc for the table):
 ///   "components"        – Components, optimal per-item pricing
 ///   "components-list"   – Components at dataset list prices (Table 2)
 ///   "pure-matching"     – Algorithm 1, pure bundling
@@ -83,9 +58,9 @@ class BundlerRegistry {
 ///   "pure-freq"         – Pure FreqItemset baseline
 ///   "mixed-freq"        – Mixed FreqItemset baseline
 ///   "two-sized"         – optimal 2-sized pure bundling (k = 2 matching)
-///   "optimal-wsp"       – exact set packing over full enumeration (small N)
-///   "greedy-wsp"        – greedy set packing, w/√|b| ratio (small N)
-///   "greedy-wsp-avg"    – greedy set packing, w/|b| ratio (small N)
+///   "optimal-wsp"       – exact set packing over full enumeration (≤ 20 items)
+///   "greedy-wsp"        – greedy set packing, w/√|b| ratio (≤ 25 items)
+///   "greedy-wsp-avg"    – greedy set packing, w/|b| ratio (≤ 25 items)
 BundleSolution SolveMethod(const std::string& key, BundleConfigProblem problem);
 
 /// Same, with an explicit runtime context (parallel width, deadline, stats).

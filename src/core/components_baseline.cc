@@ -1,4 +1,4 @@
-#include "core/components_baseline.h"
+#include "core/solvers.h"
 
 #include "pricing/offer_pricer.h"
 #include "util/check.h"
@@ -6,21 +6,20 @@
 
 namespace bundlemine {
 
-BundleSolution ComponentsBaseline::Solve(const BundleConfigProblem& problem,
-                                         SolveContext& context) const {
+BundleSolution SolveComponents(const BundleConfigProblem& problem,
+                               SolveContext& context, ComponentPricing pricing) {
   BM_CHECK(problem.wtp != nullptr);
   const WtpMatrix& wtp = *problem.wtp;
   WallTimer timer;
   OfferPricer pricer(problem.adoption, problem.price_levels);
 
   BundleSolution solution;
-  solution.method = name();
   solution.offers.reserve(static_cast<std::size_t>(wtp.num_items()));
   for (ItemId i = 0; i < wtp.num_items(); ++i) {
     SparseWtpVector raw = wtp.ItemVector(i);
     PricedBundle offer;
     offer.items = Bundle::Of(i);
-    if (pricing_ == ComponentPricing::kOptimal) {
+    if (pricing == ComponentPricing::kOptimal) {
       PricedOffer priced = pricer.PriceOffer(raw, /*scale=*/1.0, &context.workspace());
       offer.price = priced.price;
       offer.revenue = priced.revenue;
@@ -35,16 +34,10 @@ BundleSolution ComponentsBaseline::Solve(const BundleConfigProblem& problem,
     solution.total_revenue += offer.revenue;
     solution.offers.push_back(std::move(offer));
   }
-  solution.solve_seconds = timer.Seconds();
   solution.trace.push_back(IterationStat{0, solution.total_revenue,
-                                         solution.solve_seconds,
+                                         timer.Seconds(),
                                          static_cast<int>(solution.offers.size())});
   return solution;
-}
-
-std::string ComponentsBaseline::name() const {
-  return pricing_ == ComponentPricing::kOptimal ? "Components"
-                                                : "Components (list price)";
 }
 
 }  // namespace bundlemine

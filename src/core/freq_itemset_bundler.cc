@@ -1,4 +1,4 @@
-#include "core/freq_itemset_bundler.h"
+#include "core/solvers.h"
 
 #include <algorithm>
 #include <cmath>
@@ -26,8 +26,8 @@ struct Candidate {
 
 }  // namespace
 
-BundleSolution FreqItemsetBundler::Solve(const BundleConfigProblem& problem,
-                                         SolveContext& context) const {
+BundleSolution SolveFreqItemset(const BundleConfigProblem& problem,
+                                SolveContext& context) {
   BM_CHECK(problem.wtp != nullptr);
   const WtpMatrix& wtp = *problem.wtp;
   WallTimer timer;
@@ -181,7 +181,6 @@ BundleSolution FreqItemsetBundler::Solve(const BundleConfigProblem& problem,
 
   // Assemble the configuration.
   BundleSolution solution;
-  solution.method = pure ? "Pure FreqItemset" : "Mixed FreqItemset";
   double total = 0.0;
   for (const Candidate* c : selected) {
     PricedBundle pb;
@@ -210,8 +209,7 @@ BundleSolution FreqItemsetBundler::Solve(const BundleConfigProblem& problem,
     solution.offers.push_back(std::move(pb));
   }
   solution.total_revenue = total;
-  solution.solve_seconds = timer.Seconds();
-  solution.trace.push_back(IterationStat{0, total, solution.solve_seconds,
+  solution.trace.push_back(IterationStat{0, total, timer.Seconds(),
                                          static_cast<int>(solution.TopOffers().size())});
   return solution;
 }

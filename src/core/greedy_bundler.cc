@@ -1,4 +1,4 @@
-#include "core/greedy_bundler.h"
+#include "core/solvers.h"
 
 #include <queue>
 #include <utility>
@@ -28,15 +28,12 @@ struct HeapEntry {
 
 }  // namespace
 
-BundleSolution GreedyBundler::Solve(const BundleConfigProblem& problem,
-                                    SolveContext& context) const {
+BundleSolution SolveGreedy(const BundleConfigProblem& problem,
+                           SolveContext& context) {
   BM_CHECK(problem.wtp != nullptr);
   const WtpMatrix& wtp = *problem.wtp;
   WallTimer timer;
   const int k = problem.EffectiveMaxSize();
-  const char* method_name = problem.strategy == BundlingStrategy::kPure
-                                ? "Pure Greedy"
-                                : "Mixed Greedy";
   PricingWorkspace& ws = context.workspace();
   // Sparse offers: dense columns would add num_items × num_users doubles
   // (twice that for mixed) to every concurrently running greedy cell.
@@ -119,9 +116,8 @@ BundleSolution GreedyBundler::Solve(const BundleConfigProblem& problem,
         IterationStat{iteration, total, timer.Seconds(), graph.AliveCount()});
   }
 
-  BundleSolution solution = graph.BuildSolution(method_name, total);
+  BundleSolution solution = graph.BuildSolution(total);
   solution.trace = std::move(trace);
-  solution.solve_seconds = timer.Seconds();
   return solution;
 }
 

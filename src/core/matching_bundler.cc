@@ -1,4 +1,4 @@
-#include "core/matching_bundler.h"
+#include "core/solvers.h"
 
 #include <algorithm>
 #include <optional>
@@ -13,15 +13,12 @@
 
 namespace bundlemine {
 
-BundleSolution MatchingBundler::Solve(const BundleConfigProblem& problem,
-                                      SolveContext& context) const {
+BundleSolution SolveMatching(const BundleConfigProblem& problem,
+                             SolveContext& context) {
   BM_CHECK(problem.wtp != nullptr);
   const WtpMatrix& wtp = *problem.wtp;
   WallTimer timer;
   const int k = problem.EffectiveMaxSize();
-  const char* method_name = problem.strategy == BundlingStrategy::kPure
-                                ? "Pure Matching"
-                                : "Mixed Matching";
   OfferGraph graph(problem, /*dense_columns=*/true, &context.workspace(),
                    context.resolve_hints());
   const MatchingPairCache* prior = graph.prior();
@@ -199,8 +196,7 @@ BundleSolution MatchingBundler::Solve(const BundleConfigProblem& problem,
   }
 
   if (graph.fill() != nullptr) graph.fill()->Finish();
-  BundleSolution solution =
-      graph.BuildSolution(method_name, graph.TotalRevenue());
+  BundleSolution solution = graph.BuildSolution(graph.TotalRevenue());
   solution.trace = std::move(trace);
   if (solution.trace.empty() ||
       solution.trace.back().total_revenue != solution.total_revenue) {
@@ -208,7 +204,6 @@ BundleSolution MatchingBundler::Solve(const BundleConfigProblem& problem,
                                            timer.Seconds(),
                                            graph.AliveCount()});
   }
-  solution.solve_seconds = timer.Seconds();
   return solution;
 }
 

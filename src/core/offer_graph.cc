@@ -247,10 +247,8 @@ int OfferGraph::AliveCount() const {
   return n;
 }
 
-BundleSolution OfferGraph::BuildSolution(const char* method,
-                                         double total_revenue) const {
+BundleSolution OfferGraph::BuildSolution(double total_revenue) const {
   BundleSolution solution;
-  solution.method = method;
   auto emit = [&](const Offer& o, bool component) {
     PricedBundle pb;
     pb.items = o.items;

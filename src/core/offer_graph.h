@@ -124,7 +124,7 @@ class OfferGraph {
   /// The configuration: live offers, then (mixed) every absorbed offer as an
   /// X′ component. The caller supplies the total, which its selection rule
   /// accumulates in its own order.
-  BundleSolution BuildSolution(const char* method, double total_revenue) const;
+  BundleSolution BuildSolution(double total_revenue) const;
 
  private:
   // Rebuilds an offer's support bitset (and, with dense columns, its WTP

@@ -40,7 +40,7 @@ using ItemsetMiner = std::function<MaximalItemsets()>;
 using ItemsetSource = std::function<MaximalItemsets(int min_support_count,
                                                     const ItemsetMiner& mine)>;
 
-/// Cache of one MatchingBundler solve's pair evaluations, valid in every
+/// Cache of one SolveMatching run's pair evaluations, valid in every
 /// round of the next solve of the same cell.
 ///
 /// Offers are named by merge-tree nodes. Leaves 0..num_leaves-1 are the

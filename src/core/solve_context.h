@@ -4,10 +4,10 @@
 // statement itself: a pool of PricingWorkspaces (one per worker slot, so
 // the pricing hot path never allocates), a deterministic Rng, an optional
 // wall-clock deadline, a stats sink, and a width at which parallel candidate
-// evaluation borrows the process-wide ThreadPool. Algorithms receive the
-// context through Bundler::Solve; the single-argument Solve overload
-// constructs a default (serial, no-deadline) context, so casual callers never
-// see this type.
+// evaluation borrows the process-wide ThreadPool. Solvers receive the
+// context through SolveMethod; its context-free overload constructs a
+// default (serial, no-deadline) context, so casual callers never see this
+// type.
 //
 // A context may be reused across sequential solves (workspace buffers stay
 // warm, the Rng stream continues) but must not be shared by concurrent
@@ -92,18 +92,11 @@ class SolveContext {
   const SolveStats& stats() const { return stats_; }
   const Options& options() const { return options_; }
 
-  /// Seconds since construction or the last RestartDeadline().
-  double ElapsedSeconds() const { return timer_.Seconds(); }
-
   /// True when a deadline is set and has elapsed.
   bool DeadlineExceeded() const {
     return options_.deadline_seconds > 0.0 &&
            timer_.Seconds() >= options_.deadline_seconds;
   }
-
-  /// Restarts the deadline clock (a context reused across solves budgets
-  /// each solve separately).
-  void RestartDeadline() { timer_.Reset(); }
 
   /// Incremental re-solve hints (prior-pair-outcome cache, dirty-item mask,
   /// maintained transaction view), or nullptr for a batch solve. Borrowed —

@@ -1,4 +1,4 @@
-#include "core/wsp_bundler.h"
+#include "core/solvers.h"
 
 #include <bit>
 
@@ -6,7 +6,6 @@
 #include "ilp/partition_dp.h"
 #include "pricing/offer_pricer.h"
 #include "util/check.h"
-#include "util/timer.h"
 
 namespace bundlemine {
 namespace {
@@ -32,11 +31,10 @@ PricedBundle PriceMask(const WtpMatrix& wtp, double theta,
 
 BundleSolution AssembleFromMasks(const BundleConfigProblem& problem,
                                  const std::vector<std::uint32_t>& masks,
-                                 const char* method, PricingWorkspace* ws) {
+                                 PricingWorkspace* ws) {
   const WtpMatrix& wtp = *problem.wtp;
   OfferPricer pricer(problem.adoption, problem.price_levels);
   BundleSolution solution;
-  solution.method = method;
 
   std::uint32_t used = 0;
   for (std::uint32_t mask : masks) {
@@ -58,15 +56,8 @@ BundleSolution AssembleFromMasks(const BundleConfigProblem& problem,
 
 }  // namespace
 
-BundleSolution OptimalWspBundler::SolveWithTimings(
-    const BundleConfigProblem& problem, WspTimings* timings) const {
-  SolveContext context;
-  return SolveWithTimings(problem, context, timings);
-}
-
-BundleSolution OptimalWspBundler::SolveWithTimings(
-    const BundleConfigProblem& problem, SolveContext& context,
-    WspTimings* timings) const {
+BundleSolution SolveOptimalWsp(const BundleConfigProblem& problem,
+                               SolveContext& context) {
   BM_CHECK(problem.wtp != nullptr);
   BM_CHECK_MSG(problem.strategy == BundlingStrategy::kPure,
                "weighted set packing is defined for pure bundling only");
@@ -74,56 +65,27 @@ BundleSolution OptimalWspBundler::SolveWithTimings(
                "optimal WSP is infeasible beyond 20 items (paper: 25 already "
                "exhausts 70 GB)");
   StopCondition should_stop = DeadlineStopCondition(context);
-  WallTimer timer;
   OfferPricer pricer(problem.adoption, problem.price_levels);
   BundleEnumeration enumeration =
       EnumerateAllBundles(*problem.wtp, problem.theta, pricer,
                           &context.workspace(), should_stop);
-  double enum_seconds = timer.Seconds();
-
-  timer.Reset();
   PartitionResult partition =
       SolveOptimalPartition(enumeration.revenue, problem.wtp->num_items(),
                             problem.max_bundle_size, should_stop);
-  double solve_seconds = timer.Seconds();
-
-  BundleSolution solution = AssembleFromMasks(problem, partition.bundles,
-                                              "Optimal", &context.workspace());
-  solution.solve_seconds = enum_seconds + solve_seconds;
-  if (timings != nullptr) {
-    timings->enumeration_seconds = enum_seconds;
-    timings->solve_seconds = solve_seconds;
-  }
-  return solution;
+  return AssembleFromMasks(problem, partition.bundles, &context.workspace());
 }
 
-BundleSolution OptimalWspBundler::Solve(const BundleConfigProblem& problem,
-                                        SolveContext& context) const {
-  return SolveWithTimings(problem, context, nullptr);
-}
-
-BundleSolution GreedyWspBundler::SolveWithTimings(
-    const BundleConfigProblem& problem, WspTimings* timings) const {
-  SolveContext context;
-  return SolveWithTimings(problem, context, timings);
-}
-
-BundleSolution GreedyWspBundler::SolveWithTimings(
-    const BundleConfigProblem& problem, SolveContext& context,
-    WspTimings* timings) const {
+BundleSolution SolveGreedyWsp(const BundleConfigProblem& problem,
+                              SolveContext& context, bool average_per_item) {
   BM_CHECK(problem.wtp != nullptr);
   BM_CHECK_MSG(problem.strategy == BundlingStrategy::kPure,
                "weighted set packing is defined for pure bundling only");
   BM_CHECK_LE(problem.wtp->num_items(), 25);
   StopCondition should_stop = DeadlineStopCondition(context);
-  WallTimer timer;
   OfferPricer pricer(problem.adoption, problem.price_levels);
   BundleEnumeration enumeration =
       EnumerateAllBundles(*problem.wtp, problem.theta, pricer,
                           &context.workspace(), should_stop);
-  double enum_seconds = timer.Seconds();
-
-  timer.Reset();
   // Apply the size cap by zeroing oversized bundles before the greedy pass.
   std::vector<double>& revenue = enumeration.revenue;
   if (problem.max_bundle_size > 0) {
@@ -132,22 +94,8 @@ BundleSolution GreedyWspBundler::SolveWithTimings(
     }
   }
   std::vector<std::uint32_t> masks = GreedyWspOverMasks(
-      revenue, problem.wtp->num_items(), average_per_item_, should_stop);
-  double solve_seconds = timer.Seconds();
-
-  BundleSolution solution =
-      AssembleFromMasks(problem, masks, "Greedy WSP", &context.workspace());
-  solution.solve_seconds = enum_seconds + solve_seconds;
-  if (timings != nullptr) {
-    timings->enumeration_seconds = enum_seconds;
-    timings->solve_seconds = solve_seconds;
-  }
-  return solution;
-}
-
-BundleSolution GreedyWspBundler::Solve(const BundleConfigProblem& problem,
-                                       SolveContext& context) const {
-  return SolveWithTimings(problem, context, nullptr);
+      revenue, problem.wtp->num_items(), average_per_item, should_stop);
+  return AssembleFromMasks(problem, masks, &context.workspace());
 }
 
 }  // namespace bundlemine

@@ -26,7 +26,7 @@ namespace bundlemine {
 /// Optional cooperative-cancellation hook for the enumeration/packing loops:
 /// checked between pricing steps; returning true stops the loop early while
 /// keeping its partial output structurally valid. Callers wire this to
-/// SolveContext::DeadlineExceeded (see WspBundler).
+/// SolveContext::DeadlineExceeded (see core/wsp_bundler.cc).
 using StopCondition = std::function<bool()>;
 
 /// Result of enumerating all 2^N − 1 candidate bundles.

@@ -61,12 +61,6 @@ class Bitset {
     for (std::size_t w = 0; w < words_.size(); ++w) words_[w] &= other.words_[w];
   }
 
-  /// *this ∪= other.
-  void OrWith(const Bitset& other) {
-    BM_DCHECK(size_ == other.size_);
-    for (std::size_t w = 0; w < words_.size(); ++w) words_[w] |= other.words_[w];
-  }
-
   /// True when the intersection is non-empty; early-exits on the first
   /// overlapping word, so disjoint-prefix pairs are cheap to reject.
   bool Intersects(const Bitset& other) const {

@@ -84,7 +84,7 @@ const Knob kKnobs[] = {
     {KnobGroup::kDataset, "seed", "seed", std::nullopt, nullptr, nullptr,
      KnobType::kInteger, kNonNegative, &DatasetSpec::seed},
     {KnobGroup::kWtp, "lambda", "lambda", AxisKind::kLambda, "lambda",
-     "ratings->WTP conversion factor", KnobType::kReal, {0, true, 100},
+     "ratings->WTP conversion factor", KnobType::kReal, {1e-3, false, 100},
      &DatasetSpec::lambda},
     {KnobGroup::kDataset, "activity-sigma", "activity_sigma", std::nullopt,
      nullptr, nullptr, KnobType::kReal, kNonNegative,
@@ -547,9 +547,8 @@ bool ValidateProblemKnobs(double theta, std::int64_t max_bundle_size,
 bool ValidateScenarioSpec(const ScenarioSpec& spec, std::string* error) {
   if (!CheckKnobs(spec, error)) return false;
   if (spec.methods.empty()) return Fail(error, "no methods listed");
-  const BundlerRegistry& registry = BundlerRegistry::Global();
   for (const std::string& method : spec.methods) {
-    if (!registry.Has(method)) {
+    if (FindMethod(method) == nullptr) {
       return Fail(error, "unknown method '" + method + "'");
     }
   }

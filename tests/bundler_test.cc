@@ -9,14 +9,9 @@
 #include <set>
 #include <tuple>
 
-#include "core/components_baseline.h"
-#include "core/freq_itemset_bundler.h"
-#include "core/greedy_bundler.h"
-#include "core/matching_bundler.h"
-#include "core/metrics.h"
 #include "core/bundler_registry.h"
+#include "core/metrics.h"
 #include "core/solution.h"
-#include "core/wsp_bundler.h"
 #include "data/generator.h"
 #include "gtest/gtest.h"
 #include "pricing/offer_pricer.h"

@@ -2,7 +2,7 @@
 // and the Components baseline on the paper's Table 1 worked example.
 
 #include "core/bundle.h"
-#include "core/components_baseline.h"
+#include "core/bundler_registry.h"
 #include "core/metrics.h"
 #include "core/solution.h"
 #include "gtest/gtest.h"
@@ -139,7 +139,7 @@ TEST(ComponentsBaseline, Table1Revenue) {
   BundleConfigProblem problem;
   problem.wtp = &wtp;
   problem.price_levels = 0;  // Exact pricing for the worked example.
-  BundleSolution s = ComponentsBaseline().Solve(problem);
+  BundleSolution s = SolveMethod("components", problem);
   EXPECT_NEAR(s.total_revenue, 27.0, 1e-9);
   ASSERT_EQ(s.offers.size(), 2u);
   EXPECT_NEAR(s.offers[0].price, 8.0, 1e-9);
@@ -154,7 +154,7 @@ TEST(ComponentsBaseline, GridPricingIsCloseToExact) {
   BundleConfigProblem problem;
   problem.wtp = &wtp;
   problem.price_levels = 100;
-  BundleSolution s = ComponentsBaseline().Solve(problem);
+  BundleSolution s = SolveMethod("components", problem);
   EXPECT_NEAR(s.total_revenue, 27.0, 27.0 * 0.02);
 }
 

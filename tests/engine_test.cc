@@ -12,11 +12,13 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "api/engine.h"
@@ -112,7 +114,7 @@ TEST(EngineErrors, SweepWithUnknownMethodSurfacesStatusNotAbort) {
   EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(response.status().message().find("definitely-not-registered"),
             std::string::npos);
-  // The registry key list rides along for self-serve fixes.
+  // The method key list rides along for self-serve fixes.
   EXPECT_NE(response.status().message().find("mixed-matching"),
             std::string::npos);
 }
@@ -130,6 +132,68 @@ TEST(EngineErrors, BadShardRangeRejected) {
     ASSERT_FALSE(response.ok()) << index << "/" << count;
     EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
   }
+}
+
+// The set-packing methods enumerate all 2^N bundles; a dataset above a
+// method's item limit is the request's fault, on every request path.
+TEST(EngineErrors, ItemLimitsAreTypedErrorsOnEveryPath) {
+  Engine engine;
+  auto expect_limit = [](const Status& status, const std::string& needle) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(needle), std::string::npos)
+        << status.message();
+  };
+
+  DatasetSpec tiny;
+  tiny.profile = "tiny";
+  tiny.seed = 7;
+  std::shared_ptr<const RatingsDataset> tiny_data = *engine.Dataset(tiny);
+  const int tiny_items = tiny_data->num_items();
+  SolveRequest solve;
+  solve.method = "greedy-wsp";
+  solve.dataset = tiny;
+  ASSERT_GT(tiny_items, 25);
+  expect_limit(engine.Solve(solve).status(),
+               "method 'greedy-wsp' takes at most 25 items; the dataset has " +
+                   std::to_string(tiny_items));
+
+  std::vector<std::tuple<UserId, ItemId, double>> triplets;
+  for (int i = 0; i < 21; ++i) triplets.emplace_back(0, i, 1.0);
+  WtpMatrix wtp = WtpMatrix::FromTriplets(1, 21, triplets);
+  BundleConfigProblem problem;
+  problem.wtp = &wtp;
+  solve.method = "optimal-wsp";
+  solve.dataset.reset();
+  solve.problem = &problem;
+  expect_limit(engine.Solve(solve).status(),
+               "'optimal-wsp' takes at most 20 items; the dataset has 21");
+
+  // Every shard of the grid refuses, whichever cells it holds.
+  SweepRequest sweep;
+  sweep.spec = TinyThetaSpec();
+  sweep.spec.methods = {"components", "optimal-wsp"};
+  for (int shard = 0; shard < 2; ++shard) {
+    sweep.shard_index = shard;
+    sweep.shard_count = 2;
+    expect_limit(engine.Sweep(sweep).status(), "'optimal-wsp' takes at most 20");
+  }
+  sweep.shard_count = 1;
+  sweep.shard_index = 0;
+  sweep.spec.dataset.item_sample = 12;
+  sweep.spec.methods = {"optimal-wsp", "greedy-wsp-avg"};
+  sweep.spec.axes = {{AxisKind::kTheta, {0.0}}};
+  StatusOr<SweepResponse> sampled = engine.Sweep(sweep);
+  ASSERT_TRUE(sampled.ok()) << sampled.status().ToString();
+  EXPECT_EQ(sampled->result.cells.size(), 2u);
+
+  MarketStream market("wsp");
+  ASSERT_TRUE(market.Load(*tiny_data).ok());
+  ResolveRequest resolve;
+  resolve.market = &market;
+  resolve.spec = TinyThetaSpec();
+  resolve.spec.methods = {"greedy-wsp-avg"};
+  expect_limit(engine.Resolve(resolve).status(),
+               "'greedy-wsp-avg' takes at most 25 items");
 }
 
 TEST(ValidateMethodKeyFn, AcceptsRegisteredRejectsUnknown) {

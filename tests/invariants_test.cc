@@ -1,10 +1,11 @@
 // Property-based invariants over randomized tiny instances and every method
-// in the BundlerRegistry:
+// in the method table:
 //
 //   * solutions are structurally feasible (pure partitions / mixed laminar
 //     families via IsValidConfiguration, which also enforces
 //     item-disjointness of top-level offers),
-//   * bundle sizes respect the size cap the registry-adjusted problem imposes,
+//   * bundle sizes respect the size cap of the problem as the method's row
+//     adjusts it,
 //   * offer prices of pure-strategy methods come from the offer's uniform
 //     price grid (T levels over (0, max effective WTP]),
 //   * revenues are non-negative and finite,
@@ -76,8 +77,7 @@ double MaxEffectiveWtp(const WtpMatrix& wtp, const Bundle& items, double theta) 
 
 TEST(MethodInvariants, AllRegistryMethodsUpholdPropertiesOnRandomInstances) {
   Rng rng(20260731);
-  const BundlerRegistry& registry = BundlerRegistry::Global();
-  const std::vector<std::string> keys = registry.Keys();
+  const std::vector<std::string> keys = MethodKeys();
 
   for (int trial = 0; trial < 6; ++trial) {
     WtpMatrix wtp = RandomInstance(&rng);
@@ -99,10 +99,9 @@ TEST(MethodInvariants, AllRegistryMethodsUpholdPropertiesOnRandomInstances) {
 
     for (const std::string& key : keys) {
       SCOPED_TRACE(key);
-      const BundlerRegistry::Entry* entry = registry.Find(key);
-      ASSERT_NE(entry, nullptr);
-      BundleConfigProblem adjusted = problem;
-      if (entry->adjust) entry->adjust(&adjusted);
+      const Method* method = FindMethod(key);
+      ASSERT_NE(method, nullptr);
+      BundleConfigProblem adjusted = method->Adjust(problem);
 
       BundleSolution solution = SolveMethod(key, problem);
 
@@ -157,7 +156,7 @@ TEST(MethodInvariants, MixedDominatesPureOnRandomizedTinyInstances) {
   // co-rated audiences every mixed-* heuristic at least matches its pure-*
   // sibling (paper Figures 2/5 shape), at every draw of (seed, θ, k).
   Rng rng(31337);
-  const std::vector<std::string> keys = BundlerRegistry::Global().Keys();
+  const std::vector<std::string> keys = MethodKeys();
   for (int trial = 0; trial < 4; ++trial) {
     std::uint64_t seed = 100 + rng.UniformU32(1000);
     RatingsDataset data = GenerateAmazonLike(TinyProfile(seed));
@@ -221,13 +220,9 @@ TEST(FreqDeadline, TightDeadlineStopsTheMinerWithValidPartialSolution) {
     BundleSolution solution = SolveMethod(key, problem, context);
 
     EXPECT_TRUE(context.stats().deadline_hit);
-    const BundlerRegistry::Entry* entry = BundlerRegistry::Global().Find(key);
-    ASSERT_NE(entry, nullptr);
-    BundleConfigProblem adjusted = problem;
-    if (entry->adjust) entry->adjust(&adjusted);
     std::string error;
     EXPECT_TRUE(IsValidConfiguration(solution, wtp.num_items(),
-                                     adjusted.strategy, &error))
+                                     FindMethod(key)->Adjust(problem).strategy, &error))
         << error;
     EXPECT_GE(solution.total_revenue, 0.0);
   }

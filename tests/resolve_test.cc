@@ -12,7 +12,7 @@
 //     (unloaded market, dataset axes in the spec).
 //
 // Specs here use matching methods on purpose: the pair-outcome cache (keyed
-// by merge-tree node, valid in every round) lives in MatchingBundler, so
+// by merge-tree node, valid in every round) lives in SolveMatching, so
 // only matching cells can report reuse.
 
 #include <cstdint>

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "core/bundler_registry.h"
-#include "core/wsp_bundler.h"
 #include "data/generator.h"
 #include "data/wtp_matrix.h"
 #include "gtest/gtest.h"
@@ -82,7 +81,8 @@ TEST(RobustnessDeathTest, OptimalWspRefusesLargeN) {
   WtpMatrix wtp = WtpMatrix::FromTriplets(1, 21, triplets);
   BundleConfigProblem problem;
   problem.wtp = &wtp;
-  EXPECT_DEATH(OptimalWspBundler().Solve(problem), "infeasible beyond 20 items");
+  EXPECT_DEATH(SolveMethod("optimal-wsp", problem),
+               "infeasible beyond 20 items");
 }
 
 TEST(RobustnessDeathTest, WtpMatrixRejectsDuplicateCoordinates) {

@@ -4,7 +4,9 @@
 
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <utility>
+#include <vector>
 
 #include "api/engine.h"
 #include "gtest/gtest.h"
@@ -314,8 +316,8 @@ const KnobProbe kKnobProbes[] = {
     {"seed", "seed", "", "-1", false},
     {"lambda", "lambda", "lambda", "100", true},
     {"lambda", "lambda", "lambda", "100.5", false},
-    {"lambda", "lambda", "lambda", "1e-9", true},
-    {"lambda", "lambda", "lambda", "0", false},
+    {"lambda", "lambda", "lambda", "1e-3", true},
+    {"lambda", "lambda", "lambda", "9.99e-4", false},
     {"activity-sigma", "activity_sigma", "", "0", true},
     {"activity-sigma", "activity_sigma", "", "-0.001", false},
     {"background-mass", "background_mass", "", "0", true},
@@ -436,6 +438,35 @@ TEST(KnobDomainTest, EveryFrontEndAgrees) {
         EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument);
       }
     }
+  }
+}
+
+// WTP scales linearly in λ and every price grid with it, so coverage must
+// not move with λ. Below λ's lower bound the solvers' absolute tolerances
+// (1e-9) start to matter: coverage read 118.93% at λ = 1e-300, and
+// Components moved at λ = 1e-12.
+TEST(KnobDomainTest, CoverageDoesNotMoveAcrossTheLambdaDomain) {
+  Engine engine;
+  SweepRequest request;
+  std::string error;
+  std::optional<ScenarioSpec> spec = ParseScenarioSpec(
+      "scale=tiny;seed=7;methods=components,pure-matching,mixed-greedy,"
+      "mixed-matching;axis:lambda=0.001,1.25;axis:theta=0,0.05",
+      &error);
+  ASSERT_TRUE(spec) << error;
+  request.spec = *spec;
+  StatusOr<SweepResponse> response = engine.Sweep(request);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  std::map<std::pair<std::string, double>, std::vector<double>> by_cell;
+  for (const SweepCellResult& cell : response->result.cells) {
+    by_cell[{cell.cell.method, cell.cell.axis_values[1]}].push_back(
+        cell.coverage);
+  }
+  ASSERT_EQ(by_cell.size(), 8u);
+  for (const auto& [cell, coverage] : by_cell) {
+    ASSERT_EQ(coverage.size(), 2u);
+    EXPECT_NEAR(coverage[0], coverage[1], 1e-6)
+        << cell.first << " theta=" << cell.second;
   }
 }
 

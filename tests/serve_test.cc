@@ -558,6 +558,11 @@ TEST(ServeTest, MalformedInputLeavesConnectionServing) {
       {R"({"kind":"solve","id":13,"method":"components","dataset":)"
        R"({"profile":"tiny","seed":-7}})",
        "INVALID_ARGUMENT", "seed"},
+      // A set-packing method on more items than it enumerates aborted in
+      // the solver.
+      {R"({"kind":"solve","id":14,"method":"greedy-wsp","dataset":)"
+       R"({"profile":"tiny","seed":7}})",
+       "INVALID_ARGUMENT", "'greedy-wsp' takes at most 25 items"},
   };
   for (const Case& c : cases) {
     StatusOr<std::string> response = client.Call(c.line);

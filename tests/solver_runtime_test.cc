@@ -1,4 +1,4 @@
-// Tests for the solver-runtime layer: BundlerRegistry round-trips, workspace
+// Tests for the solver-runtime layer: method-table round-trips, workspace
 // vs legacy pricing parity, the allocation-free uniform-grid view, solve
 // statistics/deadlines, and serial vs parallel solve identity.
 
@@ -62,56 +62,73 @@ void ExpectSolutionsIdentical(const BundleSolution& a, const BundleSolution& b) 
 }
 
 // ---------------------------------------------------------------------------
-// Registry.
+// Method table.
 // ---------------------------------------------------------------------------
 
-TEST(BundlerRegistry, EveryRegisteredMethodSolvesTheQuickstartInstance) {
-  WtpMatrix wtp = QuickstartMatrix();
-  const BundlerRegistry& registry = BundlerRegistry::Global();
-  std::vector<std::string> keys = registry.Keys();
+TEST(MethodTable, KeysAreSortedAndUniqueAndLookupsAgree) {
+  const std::vector<std::string> keys = MethodKeys();
   ASSERT_GE(keys.size(), 12u);
+  for (std::size_t i = 1; i < keys.size(); ++i) {
+    EXPECT_LT(keys[i - 1], keys[i]);  // Sorted, so no key shadows another.
+  }
   for (const std::string& key : keys) {
+    const Method* method = FindMethod(key);
+    ASSERT_NE(method, nullptr) << key;
+    EXPECT_EQ(method->key, key);
+    EXPECT_EQ(MethodDisplayName(key), method->display_name);
+  }
+  EXPECT_EQ(FindMethod("no-such-method"), nullptr);
+  EXPECT_EQ(MethodDisplayName("mixed-matching"), "Mixed Matching");
+  for (const std::string& key : StandardMethodKeys()) {
+    EXPECT_NE(FindMethod(key), nullptr) << key;
+  }
+}
+
+TEST(MethodTable, EveryMethodSolvesTheQuickstartInstanceUnderItsDisplayName) {
+  WtpMatrix wtp = QuickstartMatrix();
+  for (const std::string& key : MethodKeys()) {
     BundleConfigProblem problem;
     problem.wtp = &wtp;
     BundleSolution solution = SolveMethod(key, problem);
     EXPECT_GT(solution.total_revenue, 0.0) << key;
-    EXPECT_FALSE(solution.method.empty()) << key;
-    // Validate against the strategy the registry entry actually imposes.
-    BundleConfigProblem adjusted = problem;
-    const BundlerRegistry::Entry* entry = registry.Find(key);
-    ASSERT_NE(entry, nullptr) << key;
-    if (entry->adjust) entry->adjust(&adjusted);
+    EXPECT_EQ(solution.method, MethodDisplayName(key)) << key;
     std::string error;
     EXPECT_TRUE(IsValidConfiguration(solution, wtp.num_items(),
-                                     adjusted.strategy, &error))
+                                     FindMethod(key)->Adjust(problem).strategy,
+                                     &error))
         << key << ": " << error;
   }
 }
 
-TEST(BundlerRegistry, LookupsAndDisplayNames) {
-  const BundlerRegistry& registry = BundlerRegistry::Global();
-  EXPECT_TRUE(registry.Has("pure-matching"));
-  EXPECT_FALSE(registry.Has("no-such-method"));
-  EXPECT_EQ(registry.Find("no-such-method"), nullptr);
-  EXPECT_EQ(registry.DisplayName("mixed-matching"), "Mixed Matching");
-  std::unique_ptr<Bundler> bundler = registry.Create("pure-greedy");
-  ASSERT_NE(bundler, nullptr);
-  EXPECT_EQ(bundler->name(), "Greedy");
-}
-
-TEST(BundlerRegistry, SolveMethodMatchesDirectRegistryUse) {
+TEST(MethodTable, SolverSeesTheRowsStrategyAndSizeCap) {
+  // Every key is solved from a problem that contradicts its row (the other
+  // strategy, a looser size cap). The row's values must win, and SolveMethod
+  // must hand the solver exactly that problem.
   WtpMatrix wtp = QuickstartMatrix();
-  BundleConfigProblem problem;
-  problem.wtp = &wtp;
-  BundleSolution via_runner = SolveMethod("pure-matching", problem);
+  for (const std::string& key : MethodKeys()) {
+    SCOPED_TRACE(key);
+    const Method& method = *FindMethod(key);
+    BundleConfigProblem problem;
+    problem.wtp = &wtp;
+    problem.strategy = method.strategy == BundlingStrategy::kPure
+                           ? BundlingStrategy::kMixed
+                           : BundlingStrategy::kPure;
+    problem.max_bundle_size = 4;
+    const BundleConfigProblem seen = method.Adjust(problem);
+    EXPECT_EQ(seen.strategy, method.strategy.value_or(problem.strategy));
+    const int cap = method.max_bundle_size > 0 ? method.max_bundle_size : 4;
+    EXPECT_EQ(seen.max_bundle_size, cap);
 
-  const BundlerRegistry::Entry* entry =
-      BundlerRegistry::Global().Find("pure-matching");
-  ASSERT_NE(entry, nullptr);
-  BundleConfigProblem adjusted = problem;
-  if (entry->adjust) entry->adjust(&adjusted);
-  BundleSolution direct = entry->factory()->Solve(adjusted);
-  ExpectSolutionsIdentical(via_runner, direct);
+    BundleSolution via_table = SolveMethod(key, problem);
+    SolveContext context;
+    ExpectSolutionsIdentical(via_table, method.solve(seen, context));
+    for (const PricedBundle& offer : via_table.offers) {
+      EXPECT_LE(offer.items.size(), cap);
+      if (seen.strategy == BundlingStrategy::kPure) {
+        EXPECT_FALSE(offer.is_component_offer);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
